@@ -35,6 +35,7 @@ from .model import (
     TwoFactorParams,
     closed_form_strip,
     params_from_dict,
+    params_to_dict,
     simulate_factor_paths,
     spot_and_payoff,
 )
@@ -169,19 +170,9 @@ def output_lock(out_dir: Path):
         lock.unlink(missing_ok=True)
 
 
-def _params_dict(params: TwoFactorParams) -> dict:
-    return {
-        "alpha1": params.alpha1, "alpha2": params.alpha2,
-        "sigma1": params.sigma1, "sigma2": params.sigma2,
-        "rho": params.rho, "r": params.r, "T": params.T, "n": params.n,
-        "forward": [float(v) for v in params.forward],
-        "strike": [float(v) for v in params.strikes],
-    }
-
-
 def tree_cache_key(cfg: RunConfig, n_bar: int | None = None) -> str:
     payload = {
-        "model": _params_dict(cfg.params),
+        "model": params_to_dict(cfg.params),
         "N_bar": n_bar if n_bar is not None else cfg.n_bar,
         "n_samples": cfg.n_samples,
         "seed": cfg.seed,
@@ -220,9 +211,8 @@ def ensure_tree(cfg: RunConfig, n_bar: int | None = None) -> tuple[QuantTree, di
         "package_version": __version__,
     }
     t0 = time.perf_counter()
-    save_tree(tree, cache_dir, manifest_extra)
+    manifest = save_tree(tree, cache_dir, manifest_extra)
     timings["persist_seconds"] = time.perf_counter() - t0
-    _, manifest = load_tree(cache_dir)
     return tree, manifest, timings
 
 
@@ -455,40 +445,34 @@ def converge(ctx, n_bars):
     _dispatch(ctx, body)
 
 
-@main.command()
-@click.pass_context
-def grids(ctx):
-    """Build (or reuse) the per-date codebooks; prints their location."""
+def _list_artifacts(ctx: click.Context, pattern: str, key: str) -> None:
+    """Build (or reuse) the tree; print its cache directory and the files
+    matching ``pattern`` under ``key``."""
 
     def body(cfg):
         _, manifest, timings = ensure_tree(cfg)
         cache_dir = cfg.out_dir / "cache" / manifest["cache_key"]
         click.echo(json.dumps({
             "cache_dir": str(cache_dir),
-            "grid_files": sorted(p.name for p in cache_dir.glob("grid_*.csv")),
+            key: sorted(p.name for p in cache_dir.glob(pattern)),
             "timings": timings,
         }, sort_keys=True))
 
     _dispatch(ctx, body)
+
+
+@main.command()
+@click.pass_context
+def grids(ctx):
+    """Build (or reuse) the per-date codebooks; prints their location."""
+    _list_artifacts(ctx, "grid_*.csv", "grid_files")
 
 
 @main.command()
 @click.pass_context
 def transitions(ctx):
     """Build (or reuse) the transition matrices; prints their location."""
-
-    def body(cfg):
-        _, manifest, timings = ensure_tree(cfg)
-        cache_dir = cfg.out_dir / "cache" / manifest["cache_key"]
-        click.echo(json.dumps({
-            "cache_dir": str(cache_dir),
-            "transition_files": sorted(
-                p.name for p in cache_dir.glob("transition_*.csv")
-            ),
-            "timings": timings,
-        }, sort_keys=True))
-
-    _dispatch(ctx, body)
+    _list_artifacts(ctx, "transition_*.csv", "transition_files")
 
 
 @main.command()

@@ -22,7 +22,6 @@ from scipy.special import ndtr
 
 __all__ = [
     "TwoFactorParams",
-    "FactorState",
     "variance_lambda",
     "factor_step",
     "factor_marginal_covariance",
@@ -31,7 +30,7 @@ __all__ = [
     "spot_and_payoff_scaled",
     "black_call",
     "closed_form_strip",
-    "norm_cdf",
+    "params_to_dict",
     "params_from_dict",
 ]
 
@@ -89,17 +88,6 @@ class TwoFactorParams:
     @property
     def vols(self) -> np.ndarray:
         return np.array([self.sigma1, self.sigma2])
-
-
-@dataclass(frozen=True)
-class FactorState:
-    """The pair of mean-reverting factor integrals; the Markov state."""
-
-    x1: float
-    x2: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x1, self.x2])
 
 
 def variance_lambda(params: TwoFactorParams, t):
@@ -215,8 +203,6 @@ def spot_and_payoff(params: TwoFactorParams, k: int, y):
     """
     if not 0 <= k <= params.n - 1:
         raise ValueError(f"date index {k} outside 0..{params.n - 1}")
-    if isinstance(y, FactorState):
-        y = y.as_array()
     y = np.asarray(y, dtype=float)
     z = y * params.vols
     return spot_and_payoff_scaled(params, k, z)
@@ -239,11 +225,6 @@ def spot_and_payoff_scaled(params: TwoFactorParams, k: int, z):
     if spot.ndim == 0:
         return float(spot), float(payoff)
     return spot, payoff
-
-
-def norm_cdf(x):
-    """Standard normal distribution function (machine precision)."""
-    return ndtr(x)
 
 
 def black_call(forward: float, strike: float, total_variance: float) -> float:
@@ -298,6 +279,22 @@ def _load_curve(value, n: int, base_dir: Path, name: str) -> np.ndarray:
     if isinstance(value, (list, tuple)):
         return np.asarray(value, dtype=float)
     raise TypeError(f"{name} must be a number, list, or CSV path")
+
+
+def params_to_dict(params: TwoFactorParams) -> dict:
+    """The document :func:`params_from_dict` reads, with inline curves."""
+    return {
+        "alpha1": params.alpha1,
+        "alpha2": params.alpha2,
+        "sigma1": params.sigma1,
+        "sigma2": params.sigma2,
+        "rho": params.rho,
+        "r": params.r,
+        "T": params.T,
+        "n": params.n,
+        "forward": [float(v) for v in params.forward],
+        "strike": [float(v) for v in params.strikes],
+    }
 
 
 def params_from_dict(doc: dict, base_dir=".") -> TwoFactorParams:

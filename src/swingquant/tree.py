@@ -2,10 +2,10 @@
 
 The factor state is collapsed to one small codebook per date, consecutive
 codebooks are linked by an empirically estimated transition matrix, and
-the contract is priced by backward induction over the residual volume
-bounds reachable from the initial ones.  For integer bounds the optimal
-purchase at every node is an endpoint of the admissible interval, always
-0 or 1, which the recursion asserts rather than assumes.  Non-integer
+the contract is priced by one backward induction over (row, node) arrays.
+For integer bounds the optimal purchase at every node is 0 or 1, so a row
+is a count of units bought so far (one contract) or a pair of residual
+bounds (every contract at once, for the premium surface).  Non-integer
 bounds are priced by affine interpolation of the integer-vertex surface.
 
 The grids quantize the volatility-scaled factor pair (sigma1*X1,
@@ -18,21 +18,17 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .contracts import (
-    GlobalConstraints,
-    PremiumSurface,
-    admissible_interval,
-    advance_constraints,
-    integer_vertices,
-    reachable_set,
-)
+from .contracts import GlobalConstraints, PremiumSurface, integer_vertices
 from .model import (
     TwoFactorParams,
+    params_from_dict,
+    params_to_dict,
     simulate_factor_paths,
     spot_and_payoff,
     spot_and_payoff_scaled,
@@ -126,27 +122,48 @@ class QuantTree:
 
 
 @dataclass
-class DPTable:
-    """Backward-induction values: per date, residual bounds -> node values."""
+class Policy:
+    """The bang-bang policy of integer bounds ``q0``, all 0 or 1.
 
-    layers: list[dict[GlobalConstraints, np.ndarray]]
+    Rows count purchases: ``buy[k][r, i]`` is the purchase at date ``k``
+    and node ``i`` after ``l_min[k] + r`` units bought on earlier dates.
+    ``actions`` re-keys the same rows by residual bounds,
+    ``{(k, (q_lo, q_hi)): int8[node]}``.
+    """
 
-    def value(self, k: int, q: GlobalConstraints) -> np.ndarray:
-        return self.layers[k][q]
+    q0: GlobalConstraints
+    l_min: np.ndarray
+    buy: list[np.ndarray]
+
+    @property
+    def n(self) -> int:
+        return len(self.buy)
+
+    def residual(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Residual bounds ``(q_lo, q_hi)`` of every row of date ``k``."""
+        bought = self.l_min[k] + np.arange(len(self.buy[k]))
+        return (np.maximum(self.q0.q_lo - bought, 0.0),
+                np.minimum(self.q0.q_hi - bought, float(self.n - k)))
+
+    @cached_property
+    def actions(self) -> dict[tuple[int, tuple[float, float]], np.ndarray]:
+        out: dict[tuple[int, tuple[float, float]], np.ndarray] = {}
+        for k, buy in enumerate(self.buy):
+            for lo, hi, row in zip(*self.residual(k), buy):
+                out.setdefault((k, (float(lo), float(hi))), row)
+        return out
 
 
 @dataclass
-class Policy:
-    """Chosen purchase per (date, residual bounds, node), all 0 or 1."""
+class DPTable:
+    """Backward-induction values, rows laid out as in :class:`Policy`.
 
-    q0: GlobalConstraints
-    n: int
-    actions: dict[tuple[int, tuple[float, float]], np.ndarray] = field(
-        default_factory=dict
-    )
+    ``values[k]`` has shape ``(rows, N_k)``: the value of each (purchase
+    count, node) state at date ``k``, before that date's purchase.
+    """
 
-    def action(self, k: int, q: GlobalConstraints, node: int) -> int:
-        return int(self.actions[(k, q.as_tuple())][node])
+    values: list[np.ndarray]
+    policy: Policy
 
 
 def _scaled_states(params: TwoFactorParams, paths: np.ndarray, k: int) -> np.ndarray:
@@ -177,7 +194,8 @@ def build_grids(
     previous grid rescaled by the marginal standard deviations, which cuts
     the fixed-point iterations sharply.  Sample clouds with at most
     ``n_bar`` distinct points (degenerate volatility) collapse to exactly
-    those points.  Non-convergence is logged and the last iterate kept.
+    those points.  A fixed-point pass that hits ``lloyd_max_iter`` keeps its
+    last iterate (:func:`lloyd_optimize` logs it).
     """
     if n_bar < 1:
         raise ValueError("n_bar must be >= 1")
@@ -228,13 +246,10 @@ def build_grids(
             counts = _cell_counts(fit, init)
             grids.append(Codebook(init, counts / counts.sum()))
         else:
-            cb, report = lloyd_optimize(
+            cb, _ = lloyd_optimize(
                 fit, Codebook(init), max_iter=lloyd_max_iter, tol=lloyd_tol
             )
             grids.append(cb)
-            if not report.converged:
-                log.info("grid %d: fixed-point pass hit max_iter "
-                         "(distortion %.4g)", k, report.final_distortion)
         prev_scale = scale
     return grids
 
@@ -343,13 +358,42 @@ def build_tree(
     return QuantTree(params, grids, transitions, payoffs)
 
 
-def _endpoint_actions(q: GlobalConstraints, remaining: int) -> list[float]:
-    lo, hi = admissible_interval(q, remaining)
-    if not (lo in (0.0, 1.0) and hi in (0.0, 1.0)):
-        raise AssertionError(
-            f"integer constraints produced non-binary endpoints [{lo}, {hi}]"
+def _backward(tree: QuantTree, layout, terminal_rows: int, decisions: bool):
+    """The backward induction, over ``(row, node)`` arrays.
+
+    The caller lays out the rows of each date: ``layout(k)`` returns
+    ``(child0, child1, allowed0, allowed1)``, the row of date ``k + 1``
+    reached without and with a purchase, and whether each purchase is
+    admissible.  The child of a forbidden purchase may be out of range;
+    its gather is clipped and masked away.  Date ``n`` has
+    ``terminal_rows`` rows of value zero.
+
+    Yields ``(k, values, buy)`` from date ``n - 1`` down to 0: ``values``
+    of shape ``(rows, N_k)`` and, with ``decisions``, the int8 0/1
+    purchases (``None`` otherwise).  The purchase is the smallest
+    maximiser: buy only on strict improvement.
+    """
+    n = tree.n
+    values = np.zeros((terminal_rows, tree.width(n - 1)))
+    for k in range(n - 1, -1, -1):
+        cont = values if k == n - 1 else values @ tree.transitions[k].T
+        child0, child1, allowed0, allowed1 = layout(k)
+        cand0 = np.where(allowed0[:, None],
+                         np.take(cont, child0, axis=0, mode="clip"), -np.inf)
+        cand1 = np.where(allowed1[:, None], tree.payoff_values[k]
+                         + np.take(cont, child1, axis=0, mode="clip"), -np.inf)
+        values = np.maximum(cand0, cand1)
+        assert np.isfinite(values).all(), "a state admits no purchase"
+        yield k, values, (cand1 > cand0).astype(np.int8) if decisions else None
+
+
+def _clamped_integer(q0: GlobalConstraints, n: int) -> GlobalConstraints:
+    q0 = GlobalConstraints(q0.q_lo, min(q0.q_hi, float(n)))
+    if not q0.is_integer:
+        raise ValueError(
+            f"{q0.as_tuple()} is not integer; interpolate the premium surface"
         )
-    return [lo] if lo == hi else [lo, hi]
+    return q0
 
 
 def quantized_dp_price(
@@ -357,45 +401,48 @@ def quantized_dp_price(
 ) -> tuple[float, DPTable]:
     """Price the contract with integer bounds ``q0`` on the quantized tree.
 
-    Backward induction over the residual bounds reachable from ``q0``; at
-    each (date, bounds, node) the purchase is the better endpoint of the
-    admissible interval.  Returns the root price and the full value table.
+    Backward induction on the cumulated-purchase axis: before date ``k``
+    the feasible purchase counts are ``l_min(k) .. min(k, q0_hi)``, with
+    ``l_min(k) = (q0_lo - (n - k))^+`` (the floor must stay reachable), and
+    each state either keeps ``l`` or moves to ``l + 1``.  Returns the root
+    price and the value table, which also holds the 0/1 policy.
     Non-integer bounds are rejected; price those from
     :func:`premium_surface` via tile interpolation.
     """
     n = tree.n
-    q0 = GlobalConstraints(q0.q_lo, min(q0.q_hi, float(n)))
-    if not q0.is_integer:
-        raise ValueError(
-            f"{q0.as_tuple()} is not integer; interpolate the premium surface"
-        )
-    if q0.q_lo > n:
-        raise ValueError(f"floor {q0.q_lo} cannot be met in {n} dates")
+    q0 = _clamped_integer(q0, n)
+    lo0, hi0 = int(q0.q_lo), int(q0.q_hi)
+    dates = np.arange(n + 1)
+    l_min = np.maximum(lo0 - (n - dates), 0)
+    l_max = np.minimum(dates, hi0)
 
-    layers: list[dict[GlobalConstraints, np.ndarray]] = [
-        {} for _ in range(n + 1)
-    ]
-    layers[n] = {q: np.zeros(1) for q in reachable_set(q0, n, n)}
-    for k in range(n - 1, -1, -1):
-        rem = n - 1 - k
-        v = tree.payoff_values[k]
-        nxt = layers[k + 1]
-        for q in reachable_set(q0, k, n):
-            best = None
-            for x in _endpoint_actions(q, rem):
-                if k == n - 1:
-                    cont = 0.0
-                else:
-                    cont = tree.transitions[k] @ nxt[advance_constraints(q, x, rem)]
-                cand = x * v + cont
-                best = cand if best is None else np.maximum(best, cand)
-            layers[k][q] = best
-    price = float(tree.root_weights() @ layers[0][q0])
-    return price, DPTable(layers)
+    def layout(k):
+        bought = np.arange(l_min[k], l_max[k] + 1)
+        stay = bought - l_min[k + 1]
+        return stay, stay + 1, stay >= 0, bought < hi0
+
+    values: list[np.ndarray] = [None] * n
+    buy: list[np.ndarray] = [None] * n
+    for k, v, b in _backward(tree, layout, hi0 - lo0 + 1, decisions=True):
+        values[k], buy[k] = v, b
+    price = float(tree.root_weights() @ values[0][0])
+    return price, DPTable(values, Policy(q0, l_min[:n], buy))
 
 
 def _triangle_index(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (b * (b + 1)) // 2 + a
+
+
+def _pair_layout(m: int):
+    """Rows of every residual pair ``(a, b)``, ``0 <= a <= b <= m``.
+
+    Ordered as :func:`integer_vertices` (by ``b``, then ``a``); the children
+    are pairs of horizon ``m - 1``.
+    """
+    b, a = np.tril_indices(m + 1)
+    child0 = _triangle_index(a, np.minimum(b, m - 1))
+    child1 = _triangle_index(np.maximum(a - 1, 0), b - 1)
+    return child0, child1, a < m, b > 0
 
 
 def premium_surface(tree: QuantTree) -> PremiumSurface:
@@ -403,38 +450,16 @@ def premium_surface(tree: QuantTree) -> PremiumSurface:
 
     Works over all integer bound pairs at every horizon (cost proportional
     to the pair count times the product of consecutive grid sizes), so the
-    whole surface costs one induction instead of one per vertex.
+    whole surface costs one induction instead of one per vertex.  Only the
+    current date's values are held; no policy is kept.
     """
     n = tree.n
-    values_next: np.ndarray | None = None  # (pairs at k+1, N_{k+1})
-    for k in range(n - 1, -1, -1):
-        m = n - k
-        pairs = integer_vertices(m)
-        a = np.array([p[0] for p in pairs])
-        b = np.array([p[1] for p in pairs])
-        v = tree.payoff_values[k]
-        n_k = tree.width(k)
-        if k == n - 1:
-            cont = np.zeros((len(integer_vertices(0)), n_k))
-        else:
-            cont = values_next @ tree.transitions[k].T
-        allowed0 = a <= (m - 1)
-        allowed1 = b >= 1
-        # clip the index arithmetic so masked-out actions still gather
-        # in-bounds (their values are discarded by the mask)
-        child0 = _triangle_index(np.minimum(a, m - 1), np.minimum(b, m - 1))
-        child1 = _triangle_index(np.maximum(a - 1, 0), np.clip(b - 1, 0, m - 1))
-        neg = -np.inf
-        cand0 = np.where(allowed0[:, None], cont[child0], neg)
-        cand1 = np.where(allowed1[:, None], v[None, :] + cont[child1], neg)
-        values_next = np.maximum(cand0, cand1)
-        assert np.isfinite(values_next).all()
-    root = tree.root_weights()
-    surface_values = {
-        (i, j): float(values_next[_triangle_index(np.array(i), np.array(j))] @ root)
-        for (i, j) in integer_vertices(n)
-    }
-    return PremiumSurface(n=n, values=surface_values)
+    for _, values, _ in _backward(tree, lambda k: _pair_layout(n - k), 1,
+                                  decisions=False):
+        pass  # the loop ends on date 0
+    prices = values @ tree.root_weights()
+    return PremiumSurface(n=n, values=dict(zip(integer_vertices(n),
+                                               prices.tolist())))
 
 
 def extract_and_value_policy(
@@ -444,63 +469,35 @@ def extract_and_value_policy(
     n_paths: int,
     seed: int,
 ) -> tuple[Policy, float, float]:
-    """Read the bang-bang policy off a value table and price it by simulation.
+    """Price the bang-bang policy of a value table by simulation.
 
-    The policy takes the smallest maximising endpoint at every (date,
-    bounds, node).  Valuation runs on fresh exact-model paths with an
-    independent seed: states are projected to the grids only to look up
-    decisions, payoffs come from the exact states.  Every simulated
-    schedule satisfies the global bounds; a violation would mean the
-    reachable-set bookkeeping is broken and raises immediately.
+    The policy is the one :func:`quantized_dp_price` stored in ``table``
+    for the same bounds ``q0``.  Valuation runs on fresh exact-model paths
+    with an independent seed: states are projected to the grids only to
+    look up decisions, payoffs come from the exact states.  Every
+    simulated schedule satisfies the global bounds; a violation would mean
+    the purchase-count bookkeeping is broken and raises immediately.
 
     Returns ``(policy, mc_value, std_err)``.
     """
     n = tree.n
-    q0 = GlobalConstraints(q0.q_lo, min(q0.q_hi, float(n)))
-    if not q0.is_integer:
-        raise ValueError("policies are extracted for integer bounds")
-
-    policy = Policy(q0=q0, n=n)
-    for k in range(n):
-        rem = n - 1 - k
-        v = tree.payoff_values[k]
-        for q in reachable_set(q0, k, n):
-            actions = _endpoint_actions(q, rem)
-            if len(actions) == 1:
-                act = np.full(tree.width(k), int(actions[0]), dtype=np.int8)
-            else:
-                conts = []
-                for x in actions:
-                    if k == n - 1:
-                        cont = np.zeros(tree.width(k))
-                    else:
-                        nxt = table.layers[k + 1][advance_constraints(q, x, rem)]
-                        cont = tree.transitions[k] @ nxt
-                    conts.append(x * v + cont)
-                # smallest maximiser: buy only on strict improvement
-                act = (conts[1] > conts[0]).astype(np.int8)
-            policy.actions[(k, q.as_tuple())] = act
+    q0 = _clamped_integer(q0, n)
+    policy = table.policy
+    if policy.q0 != q0:
+        raise ValueError(f"the table holds bounds {policy.q0.as_tuple()}, "
+                         f"not {q0.as_tuple()}")
 
     paths = simulate_factor_paths(tree.params, n_paths, seed)
-    lo0, hi0 = int(q0.q_lo), int(q0.q_hi)
     bought = np.zeros(n_paths, dtype=np.int64)
     value = np.zeros(n_paths)
     for k in range(n):
-        cap = n - k
         z = _scaled_states(tree.params, paths, k)
         node = nearest_indices(z, tree.grids[k])
         _, pay = spot_and_payoff(tree.params, k, paths[:, k, :])
-        acts = np.zeros(n_paths, dtype=np.int8)
-        for purchased in np.unique(bought):
-            key = (
-                float(max(lo0 - purchased, 0)),
-                float(min(max(hi0 - purchased, 0), cap)),
-            )
-            mask = bought == purchased
-            acts[mask] = policy.actions[(k, key)][node[mask]]
+        acts = policy.buy[k][bought - policy.l_min[k], node]
         value += acts * pay
         bought += acts
-    if not ((bought >= lo0) & (bought <= hi0)).all():
+    if not ((bought >= q0.q_lo) & (bought <= q0.q_hi)).all():
         raise AssertionError("simulated schedule violated the global bounds")
     mc_value = float(value.mean())
     std_err = float(value.std(ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0
@@ -510,23 +507,11 @@ def extract_and_value_policy(
 # -- persistence -------------------------------------------------------------
 
 
-def _params_to_dict(params: TwoFactorParams) -> dict:
-    return {
-        "alpha1": params.alpha1,
-        "alpha2": params.alpha2,
-        "sigma1": params.sigma1,
-        "sigma2": params.sigma2,
-        "rho": params.rho,
-        "r": params.r,
-        "T": params.T,
-        "n": params.n,
-        "forward": [float(v) for v in params.forward],
-        "strike": [float(v) for v in params.strikes],
-    }
+def save_tree(tree: QuantTree, directory, manifest_extra: dict | None = None) -> dict:
+    """Persist grids, transitions and payoffs as CSV plus a JSON manifest.
 
-
-def save_tree(tree: QuantTree, directory, manifest_extra: dict | None = None) -> None:
-    """Persist grids, transitions and payoffs as CSV plus a JSON manifest."""
+    Returns the manifest it wrote.
+    """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     for k, grid in enumerate(tree.grids):
@@ -540,7 +525,7 @@ def save_tree(tree: QuantTree, directory, manifest_extra: dict | None = None) ->
             for i, val in enumerate(v):
                 fh.write(f"{k},{i},{float(val)!r}\n")
     manifest = {
-        "model": _params_to_dict(tree.params),
+        "model": params_to_dict(tree.params),
         "grid_sizes": [g.n_points for g in tree.grids],
         "transition_scheme": TRANSITION_SCHEME,
     }
@@ -549,12 +534,11 @@ def save_tree(tree: QuantTree, directory, manifest_extra: dict | None = None) ->
     (directory / "manifest.json").write_text(
         json.dumps(manifest, sort_keys=True, indent=2) + "\n"
     )
+    return manifest
 
 
 def load_tree(directory) -> tuple[QuantTree, dict]:
     """Restore a tree saved by :func:`save_tree`; returns (tree, manifest)."""
-    from .model import params_from_dict
-
     directory = Path(directory)
     manifest = json.loads((directory / "manifest.json").read_text())
     params = params_from_dict(manifest["model"], base_dir=directory)

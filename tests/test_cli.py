@@ -7,9 +7,17 @@ import pytest
 from click.testing import CliRunner
 
 from helpers import deterministic_lattice
-from swingquant.cli import PRICE_REPORT_SCHEMA, main
+from swingquant import cli
+from swingquant.cli import (
+    PRICE_REPORT_SCHEMA,
+    ensure_tree,
+    load_config,
+    main,
+    tree_cache_key,
+)
 from swingquant.contracts import GlobalConstraints
 from swingquant.oracle import price_lattice_dp
+from swingquant.tree import load_tree
 
 
 def write_config(tmp_path, name="config.json", *, n=3, sigma1=0.0, sigma2=0.0,
@@ -248,6 +256,29 @@ class TestDeterminism:
         assert b["timings"].get("build_tree_seconds") is None  # cache hit
         assert a["price"] == b["price"]
         assert a["mc_policy_value"] == b["mc_policy_value"]
+
+
+class TestTreeCache:
+    def test_cache_key_is_stable(self, tmp_path):
+        # literal keys of existing caches: a change here orphans them all
+        cfg = load_config(write_config(tmp_path, n=4, sigma1=0.36, sigma2=1.11,
+                                       forward=[20.0, 21.5, 19.25, 20.125]))
+        assert tree_cache_key(cfg) == "354ee6a5e2da83aa"
+        assert tree_cache_key(cfg, n_bar=9) == "57f3eb8f37948d8e"
+
+    def test_cold_build_returns_the_saved_manifest(self, tmp_path, monkeypatch):
+        cfg = load_config(write_config(tmp_path, sigma1=0.36, sigma2=1.11,
+                                       n=4, n_bar=3, n_samples=1000))
+
+        def no_reload(directory):
+            raise AssertionError("a cold build reloaded its own artifact")
+
+        monkeypatch.setattr(cli, "load_tree", no_reload)
+        _, manifest, timings = ensure_tree(cfg)
+        monkeypatch.undo()
+        assert "build_tree_seconds" in timings
+        _, saved = load_tree(cfg.out_dir / "cache" / manifest["cache_key"])
+        assert manifest == saved
 
 
 class TestAuxCommands:

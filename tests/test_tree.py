@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     flat_params,
@@ -29,6 +31,61 @@ from swingquant.tree import (
 
 def gc(lo, hi):
     return GlobalConstraints(lo, hi)
+
+
+def assert_monotone_concave(surf, slack):
+    """Premium falls with the floor, rises with the cap, and is concave
+    along the three edge directions of the tiling."""
+    vals = surf.values
+    for (i, j) in integer_pairs(surf.n):
+        if (i + 1, j) in vals:
+            assert vals[(i + 1, j)] <= vals[(i, j)] + slack
+        if (i, j + 1) in vals:
+            assert vals[(i, j + 1)] >= vals[(i, j)] - slack
+        for di, dj in ((1, 0), (0, 1), (1, 1)):
+            a = (i - di, j - dj)
+            c = (i + di, j + dj)
+            if a in vals and c in vals:
+                assert vals[(i, j)] >= (vals[a] + vals[c]) / 2 - slack
+
+
+def exact_policy_value(tree, policy):
+    """Expected payoff of the policy's decisions on the tree itself.
+
+    The law of (purchases so far, node) is carried forward through the
+    transition matrices; every schedule it reaches must end inside the
+    policy's bounds.
+    """
+    law = {0: tree.root_weights()}  # purchases so far -> node weights
+    total = 0.0
+    for k in range(tree.n):
+        nxt = {}
+        for bought, weights in law.items():
+            row = bought - policy.l_min[k]
+            assert 0 <= row < len(policy.buy[k])
+            act = policy.buy[k][row]
+            total += float(weights @ (act * tree.payoff_values[k]))
+            for a in (0, 1):
+                if not (act == a).any():
+                    continue
+                moved = np.where(act == a, weights, 0.0)
+                if k < tree.n - 1:
+                    moved = moved @ tree.transitions[k]
+                nxt[bought + a] = nxt.get(bought + a, 0.0) + moved
+        law = nxt
+    lo, hi = policy.q0.as_tuple()
+    assert all(lo <= b <= hi for b in law)
+    return total
+
+
+@st.composite
+def trees_with_bounds(draw):
+    """A random tree of at most 5 dates and 3 nodes a date, integer bounds."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    hi = draw(st.integers(min_value=0, max_value=n))
+    lo = draw(st.integers(min_value=0, max_value=hi))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return random_quant_tree(rng, n=n, max_points=3), gc(lo, hi)
 
 
 make_params = flat_params
@@ -151,15 +208,39 @@ class TestQuantizedDP:
 
     def test_table_zero_corner(self, small_tree):
         _, table = quantized_dp_price(small_tree, gc(0, 4))
-        for k, layer in enumerate(table.layers):
-            q00 = gc(0, 0)
-            if q00 in layer:
-                np.testing.assert_array_equal(layer[q00], 0.0)
+        for k, values in enumerate(table.values):
+            lo, hi = table.policy.residual(k)
+            spent = (lo == 0) & (hi == 0)
+            assert spent.any() == (k >= 4)
+            np.testing.assert_array_equal(values[spent], 0.0)
 
     def test_cap_clamped_to_horizon(self, small_tree):
         a, _ = quantized_dp_price(small_tree, gc(0, 10))
         b, _ = quantized_dp_price(small_tree, gc(0, 15))
         assert a == b
+
+
+class TestKernelProperties:
+    @given(case=trees_with_bounds())
+    @settings(max_examples=200, deadline=None)
+    def test_price_matches_bruteforce(self, case):
+        tree, q0 = case
+        price, _ = quantized_dp_price(tree, q0)
+        want = price_lattice_bruteforce(tree_as_lattice(tree), q0)
+        assert abs(price - want) <= 1e-12
+
+    @given(case=trees_with_bounds())
+    @settings(max_examples=200, deadline=None)
+    def test_decisions_reproduce_price(self, case):
+        tree, q0 = case
+        price, table = quantized_dp_price(tree, q0)
+        assert abs(exact_policy_value(tree, table.policy) - price) <= 1e-12
+
+    @given(case=trees_with_bounds())
+    @settings(max_examples=100, deadline=None)
+    def test_surface_monotone_and_concave(self, case):
+        tree, _ = case
+        assert_monotone_concave(premium_surface(tree), slack=1e-9)
 
 
 class TestPremiumSurface:
@@ -183,20 +264,7 @@ class TestPremiumSurface:
         assert surf.values[(0, n)] == pytest.approx(strip, rel=1e-11, abs=1e-11)
 
     def test_shape_properties(self, small_tree):
-        surf = premium_surface(small_tree)
-        n = small_tree.n
-        vals = surf.values
-        for (i, j) in integer_pairs(n):
-            if (i + 1, j) in vals:
-                assert vals[(i + 1, j)] <= vals[(i, j)] + 1e-9
-            if (i, j + 1) in vals:
-                assert vals[(i, j + 1)] >= vals[(i, j)] - 1e-9
-        for (i, j) in integer_pairs(n):
-            for di, dj in ((1, 0), (0, 1), (1, 1)):
-                a = (i - di, j - dj)
-                c = (i + di, j + dj)
-                if a in vals and c in vals:
-                    assert vals[(i, j)] >= (vals[a] + vals[c]) / 2 - 1e-9
+        assert_monotone_concave(premium_surface(small_tree), slack=1e-9)
 
     def test_interpolation_of_surface(self, small_tree):
         surf = premium_surface(small_tree)
