@@ -14,6 +14,7 @@ import json
 import logging
 import math
 import os
+import shutil
 import sys
 import time
 from contextlib import contextmanager
@@ -28,18 +29,21 @@ from .contracts import (
     ConstraintViolationError,
     GlobalConstraints,
     InfeasibleContractError,
+    PremiumSurface,
     integer_vertices,
     interpolate_on_tile,
+    locate_tile,
 )
 from .model import (
     TwoFactorParams,
     closed_form_strip,
+    dynamics_to_dict,
     params_from_dict,
-    params_to_dict,
     simulate_factor_paths,
     spot_and_payoff,
 )
 from .tree import (
+    TRANSITION_SCHEME,
     QuantTree,
     build_tree,
     extract_and_value_policy,
@@ -171,13 +175,19 @@ def output_lock(out_dir: Path):
 
 
 def tree_cache_key(cfg: RunConfig, n_bar: int | None = None) -> str:
+    """Hash of what the grids and transitions depend on.
+
+    The forward curve, the strikes and the rate enter only the payoffs,
+    which :func:`ensure_tree` re-derives, so they stay out of the key.
+    """
     payload = {
-        "model": params_to_dict(cfg.params),
+        "dynamics": dynamics_to_dict(cfg.params),
         "N_bar": n_bar if n_bar is not None else cfg.n_bar,
         "n_samples": cfg.n_samples,
         "seed": cfg.seed,
         "optimizer": cfg.optimizer,
-        "scheme": 1,
+        "scheme": TRANSITION_SCHEME,
+        "package_version": __version__,
     }
     blob = json.dumps(payload, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
@@ -186,16 +196,26 @@ def tree_cache_key(cfg: RunConfig, n_bar: int | None = None) -> str:
 def ensure_tree(cfg: RunConfig, n_bar: int | None = None) -> tuple[QuantTree, dict, dict]:
     """Build or reload the tree for the configuration.
 
-    Returns ``(tree, manifest, timings)``; ``timings`` is empty on a cache
-    hit.  Artifacts are content-addressed under ``<out>/cache/<key>``.
+    Returns ``(tree, manifest, timings)``.  Artifacts are content-addressed
+    under ``<out>/cache/<key>``.  On a cache hit the tree's payoffs are
+    re-derived for the configured curves (the manifest keeps the curves of
+    the build that filled the cache) and ``timings`` holds only
+    ``load_seconds``.  A cached manifest whose key or dynamics disagree
+    with the configuration is rebuilt.
     """
     n_bar = n_bar if n_bar is not None else cfg.n_bar
     key = tree_cache_key(cfg, n_bar)
     cache_dir = cfg.out_dir / "cache" / key
     if (cache_dir / "manifest.json").exists():
+        t0 = time.perf_counter()
         tree, manifest = load_tree(cache_dir)
-        log.info("cache hit: %s", cache_dir)
-        return tree, manifest, {}
+        if (manifest.get("cache_key") == key
+                and dynamics_to_dict(tree.params) == dynamics_to_dict(cfg.params)):
+            tree = tree.remarked(cfg.params)
+            log.info("cache hit: %s", cache_dir)
+            return tree, manifest, {"load_seconds": time.perf_counter() - t0}
+        log.warning("cache %s does not match its key; rebuilding", cache_dir)
+        shutil.rmtree(cache_dir)
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
     tree = build_tree(
@@ -253,9 +273,13 @@ def run_price(cfg: RunConfig, q_lo=None, q_hi=None, with_policy=True) -> dict:
             report["mc_policy_value"] = mc_value
             report["std_err"] = std_err
     else:
-        surface = premium_surface(tree)
+        corners = locate_tile(q, tree.n).vertices
+        surface = PremiumSurface(tree.n, {
+            (i, j): quantized_dp_price(tree, GlobalConstraints(i, j))[0]
+            for i, j in corners
+        })
         price = interpolate_on_tile(surface, q)
-        timings["surface_seconds"] = time.perf_counter() - t0
+        timings["dp_seconds"] = time.perf_counter() - t0
     if not math.isfinite(price):
         raise ArithmeticError(f"non-finite price {price}")
     report["price"] = price

@@ -30,6 +30,8 @@ __all__ = [
     "spot_and_payoff_scaled",
     "black_call",
     "closed_form_strip",
+    "DYNAMICS_FIELDS",
+    "dynamics_to_dict",
     "params_to_dict",
     "params_from_dict",
 ]
@@ -279,6 +281,16 @@ def _load_curve(value, n: int, base_dir: Path, name: str) -> np.ndarray:
     if isinstance(value, (list, tuple)):
         return np.asarray(value, dtype=float)
     raise TypeError(f"{name} must be a number, list, or CSV path")
+
+
+# The fields the factor paths depend on.  The forward curve, the strikes
+# and the rate enter only the payoffs.
+DYNAMICS_FIELDS = ("alpha1", "alpha2", "sigma1", "sigma2", "rho", "T", "n")
+
+
+def dynamics_to_dict(params: TwoFactorParams) -> dict:
+    """The :data:`DYNAMICS_FIELDS` of ``params``, by name."""
+    return {name: getattr(params, name) for name in DYNAMICS_FIELDS}
 
 
 def params_to_dict(params: TwoFactorParams) -> dict:

@@ -30,6 +30,7 @@ __all__ = [
     "nearest_index",
     "nearest_indices",
     "distortion",
+    "has_distinct_rows",
     "lloyd_optimize",
     "clvq_optimize",
     "newton_optimize_1d_normal",
@@ -171,6 +172,19 @@ def distortion(samples, cb: Codebook, p: float = 2.0) -> float:
     return float(np.mean(err ** p) ** (1.0 / p))
 
 
+def has_distinct_rows(rows: np.ndarray, m: int) -> bool:
+    """Whether the ``(M, d)`` array ``rows`` holds at least ``m`` distinct rows.
+
+    A short prefix settles the common case (a continuous sample is all
+    distinct) without sorting the whole array; only an inconclusive prefix
+    leads to the full count.
+    """
+    head = rows[: 4 * m]
+    if len(np.unique(head, axis=0)) >= m:
+        return True
+    return len(head) < len(rows) and len(np.unique(rows, axis=0)) >= m
+
+
 def _quadratic_error(y: np.ndarray, pts: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return ((y - pts[idx]) ** 2).sum(axis=1)
 
@@ -195,7 +209,7 @@ def lloyd_optimize(
     n = cb0.n_points
     if n > m:
         raise ValueError(f"cannot fit {n} points to {m} samples")
-    if len(np.unique(y, axis=0)) < n:
+    if not has_distinct_rows(y, n):
         raise ValueError(f"need at least {n} distinct samples")
     pts = cb0.points.copy()
 

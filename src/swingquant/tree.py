@@ -27,6 +27,7 @@ import numpy as np
 from .contracts import GlobalConstraints, PremiumSurface, integer_vertices
 from .model import (
     TwoFactorParams,
+    dynamics_to_dict,
     params_from_dict,
     params_to_dict,
     simulate_factor_paths,
@@ -36,6 +37,7 @@ from .model import (
 from .quantizer import (
     Codebook,
     clvq_optimize,
+    has_distinct_rows,
     load_codebook_csv,
     lloyd_optimize,
     nearest_indices,
@@ -112,6 +114,22 @@ class QuantTree:
                 raise ValueError("date-0 grid needs weights when it has >1 point")
             return np.ones(1)
         return np.asarray(w)
+
+    def remarked(self, params: TwoFactorParams) -> "QuantTree":
+        """The same grids and transitions, with the payoffs of ``params``.
+
+        Grids and transitions depend on the factor dynamics alone, so a
+        tree can be re-marked to new forward, strike and rate curves.  The
+        payoffs are forward-calibrated, as :func:`build_tree` does by
+        default.  Parameters with other dynamics are rejected.
+        """
+        if dynamics_to_dict(params) != dynamics_to_dict(self.params):
+            raise ValueError(
+                f"dynamics {dynamics_to_dict(params)} differ from the tree's "
+                f"{dynamics_to_dict(self.params)}"
+            )
+        return QuantTree(params, self.grids, self.transitions,
+                         _payoffs(params, self.grids, calibrate_forward=True))
 
     def chained_weights(self) -> list[np.ndarray]:
         """Date-0 law pushed through the transition matrices."""
@@ -216,8 +234,8 @@ def build_grids(
         z = _scaled_states(params, paths, k)
         stride = max(1, -(-len(z) // max_fit_samples))
         fit = z[::stride]
-        uniq = np.unique(fit, axis=0)
-        if len(uniq) <= n_bar:
+        if not has_distinct_rows(fit, n_bar + 1):
+            uniq = np.unique(fit, axis=0)
             counts = _cell_counts(fit, uniq)
             grids.append(Codebook(uniq, counts / counts.sum()))
             prev_scale = None
@@ -232,6 +250,7 @@ def build_grids(
             if len(np.unique(cand, axis=0)) == n_bar:
                 init = cand
         if init is None:
+            uniq = np.unique(fit, axis=0)
             picks = rng.choice(len(uniq), size=n_bar, replace=False)
             init = uniq[np.sort(picks)]
         if optimizer in ("clvq", "clvq-lloyd"):
@@ -347,6 +366,18 @@ def build_tree(
     for t in transitions:
         weights.append(weights[-1] @ t)
     grids = [g.with_weights(w) for g, w in zip(grids, weights)]
+    return QuantTree(params, grids, transitions,
+                     _payoffs(params, grids, calibrate_forward))
+
+
+def _payoffs(params: TwoFactorParams, grids: list[Codebook],
+             calibrate_forward: bool) -> list[np.ndarray]:
+    """Discounted payoff at every grid point, for the curves of ``params``.
+
+    The spot is linear in the forward, so the calibration factor
+    ``F_k / (w . spot_k)`` is the same for every forward curve: re-marked
+    payoffs need no refit.
+    """
     payoffs = []
     for k in range(params.n):
         spot, _ = spot_and_payoff_scaled(params, k, grids[k].points)
@@ -355,7 +386,7 @@ def build_tree(
             spot = spot * (params.forward[k] / float(grids[k].weights @ spot))
         discount = math.exp(-params.r * k * params.dt)
         payoffs.append(discount * (spot - params.strikes[k]))
-    return QuantTree(params, grids, transitions, payoffs)
+    return payoffs
 
 
 def _backward(tree: QuantTree, layout, terminal_rows: int, decisions: bool):
@@ -371,20 +402,42 @@ def _backward(tree: QuantTree, layout, terminal_rows: int, decisions: bool):
     Yields ``(k, values, buy)`` from date ``n - 1`` down to 0: ``values``
     of shape ``(rows, N_k)`` and, with ``decisions``, the int8 0/1
     purchases (``None`` otherwise).  The purchase is the smallest
-    maximiser: buy only on strict improvement.
+    maximiser: buy only on strict improvement.  ``values`` lives in a
+    buffer the next step overwrites; a caller that keeps it copies it.
     """
     n = tree.n
+    # Four buffers reused across dates: the premium surface's rows grow
+    # at every date, and fresh arrays of growing size would each be
+    # mapped (and page-faulted) anew by the allocator.
+    pool = [np.empty(0)] * 4
     values = np.zeros((terminal_rows, tree.width(n - 1)))
     for k in range(n - 1, -1, -1):
-        cont = values if k == n - 1 else values @ tree.transitions[k].T
+        cont = values
+        if k < n - 1:
+            cont = np.matmul(values, tree.transitions[k].T, out=_scratch(
+                pool, 0, (len(values), tree.width(k))))
         child0, child1, allowed0, allowed1 = layout(k)
-        cand0 = np.where(allowed0[:, None],
-                         np.take(cont, child0, axis=0, mode="clip"), -np.inf)
-        cand1 = np.where(allowed1[:, None], tree.payoff_values[k]
-                         + np.take(cont, child1, axis=0, mode="clip"), -np.inf)
-        values = np.maximum(cand0, cand1)
-        assert np.isfinite(values).all(), "a state admits no purchase"
+        shape = (len(child0), tree.width(k))
+        cand0 = np.take(cont, child0, axis=0, mode="clip",
+                        out=_scratch(pool, 1, shape))
+        cand0[~allowed0] = -np.inf
+        cand1 = np.take(cont, child1, axis=0, mode="clip",
+                        out=_scratch(pool, 2, shape))
+        cand1 += tree.payoff_values[k]
+        cand1[~allowed1] = -np.inf
+        values = np.maximum(cand0, cand1, out=_scratch(pool, 3, shape))
+        # min and max propagate NaN: both finite iff every value is
+        assert np.isfinite(values.min()) and np.isfinite(values.max()), \
+            "a state admits no purchase"
         yield k, values, (cand1 > cand0).astype(np.int8) if decisions else None
+
+
+def _scratch(pool: list[np.ndarray], i: int, shape: tuple[int, int]) -> np.ndarray:
+    """A C-contiguous ``shape`` view of ``pool[i]``, grown geometrically."""
+    size = shape[0] * shape[1]
+    if pool[i].size < size:
+        pool[i] = np.empty(2 * size)
+    return pool[i][:size].reshape(shape)
 
 
 def _clamped_integer(q0: GlobalConstraints, n: int) -> GlobalConstraints:
@@ -424,25 +477,40 @@ def quantized_dp_price(
     values: list[np.ndarray] = [None] * n
     buy: list[np.ndarray] = [None] * n
     for k, v, b in _backward(tree, layout, hi0 - lo0 + 1, decisions=True):
-        values[k], buy[k] = v, b
+        values[k], buy[k] = v.copy(), b
     price = float(tree.root_weights() @ values[0][0])
     return price, DPTable(values, Policy(q0, l_min[:n], buy))
 
 
-def _triangle_index(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return (b * (b + 1)) // 2 + a
+def _pair_layouts(n: int):
+    """``layout`` for :func:`_backward` over every residual pair.
 
-
-def _pair_layout(m: int):
-    """Rows of every residual pair ``(a, b)``, ``0 <= a <= b <= m``.
-
-    Ordered as :func:`integer_vertices` (by ``b``, then ``a``); the children
-    are pairs of horizon ``m - 1``.
+    The rows of date ``k`` are the pairs ``(a, b)``, ``0 <= a <= b <= m``
+    with ``m = n - k``, ordered as :func:`integer_vertices` (by ``b``,
+    then ``a``): a prefix of the pairs of horizon ``n``.  Their children
+    are pairs of horizon ``m - 1``.  The index arrays are built once and
+    sliced, as building them afresh at every date costs about as much as
+    the induction.
     """
-    b, a = np.tril_indices(m + 1)
-    child0 = _triangle_index(a, np.minimum(b, m - 1))
-    child1 = _triangle_index(np.maximum(a - 1, 0), b - 1)
-    return child0, child1, a < m, b > 0
+    b, a = np.tril_indices(n + 1)
+    own = np.arange(len(a))
+    child0 = own.copy()
+    child1 = (b - 1) * b // 2 + np.maximum(a - 1, 0)
+    allowed1 = b > 0
+    shifted = slice(0, 0)
+
+    def layout(k):
+        nonlocal shifted
+        m = n - k
+        rows = (m + 1) * (m + 2) // 2
+        # Not buying keeps the pair, except that a pair with b = m has
+        # no room left at horizon m - 1 and becomes (a, m - 1), m rows back.
+        child0[shifted] = own[shifted]
+        shifted = slice(rows - m - 1, rows)
+        np.subtract(own[shifted], m, out=child0[shifted])
+        return child0[:rows], child1[:rows], a[:rows] < m, allowed1[:rows]
+
+    return layout
 
 
 def premium_surface(tree: QuantTree) -> PremiumSurface:
@@ -454,8 +522,7 @@ def premium_surface(tree: QuantTree) -> PremiumSurface:
     current date's values are held; no policy is kept.
     """
     n = tree.n
-    for _, values, _ in _backward(tree, lambda k: _pair_layout(n - k), 1,
-                                  decisions=False):
+    for _, values, _ in _backward(tree, _pair_layouts(n), 1, decisions=False):
         pass  # the loop ends on date 0
     prices = values @ tree.root_weights()
     return PremiumSurface(n=n, values=dict(zip(integer_vertices(n),

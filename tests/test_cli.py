@@ -15,7 +15,11 @@ from swingquant.cli import (
     main,
     tree_cache_key,
 )
-from swingquant.contracts import GlobalConstraints
+from swingquant.contracts import (
+    GlobalConstraints,
+    PremiumSurface,
+    interpolate_on_tile,
+)
 from swingquant.oracle import price_lattice_dp
 from swingquant.tree import load_tree
 
@@ -80,6 +84,20 @@ class TestPriceCommand:
         assert report["mc_policy_value"] is None
         # deterministic payoffs 1 each: premium affine between knapsack values
         assert report["price"] == pytest.approx(2.5, abs=1e-12)
+
+    def test_non_integer_matches_the_surface_tile(self, tmp_path):
+        cfg = write_config(tmp_path, sigma1=0.36, sigma2=1.11, n=5, n_bar=4,
+                           n_samples=2000)
+        assert run_cli(["--config", str(cfg), "surface"]).exit_code == 0
+        rows = (tmp_path / "out" / "surface.csv").read_text().splitlines()[1:]
+        surf = PremiumSurface(5, {(int(i), int(j)): float(p) for i, j, p
+                                  in (r.split(",") for r in rows)})
+        for lo, hi in ((0.5, 2.5), (1.25, 4.75), (3.5, 3.75)):
+            res = run_cli(["--config", str(cfg), "price", "--qmin", str(lo),
+                           "--qmax", str(hi)])
+            want = interpolate_on_tile(surf, GlobalConstraints(lo, hi))
+            assert json.loads(res.output)["price"] == pytest.approx(
+                want, rel=1e-11, abs=1e-11)
 
     def test_no_policy_flag(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -263,8 +281,73 @@ class TestTreeCache:
         # literal keys of existing caches: a change here orphans them all
         cfg = load_config(write_config(tmp_path, n=4, sigma1=0.36, sigma2=1.11,
                                        forward=[20.0, 21.5, 19.25, 20.125]))
-        assert tree_cache_key(cfg) == "354ee6a5e2da83aa"
-        assert tree_cache_key(cfg, n_bar=9) == "57f3eb8f37948d8e"
+        assert tree_cache_key(cfg) == "6afa8346e9519ddf"
+        assert tree_cache_key(cfg, n_bar=9) == "848271e06e256e05"
+
+    def test_key_ignores_curves_and_rate(self, tmp_path):
+        base = dict(n=4, sigma1=0.36, sigma2=1.11)
+        key = tree_cache_key(load_config(write_config(tmp_path, **base)))
+        for change in ({"forward": [20.0, 21.5, 19.25, 20.125]},
+                       {"strike": 17.5}, {"r": 0.03}):
+            cfg = load_config(write_config(tmp_path, **base, **change))
+            assert tree_cache_key(cfg) == key, change
+
+    @pytest.mark.parametrize("field,value", [
+        ("alpha1", 0.3), ("alpha2", 5.0), ("sigma1", 0.4), ("sigma2", 1.0),
+        ("rho", 0.2), ("T", 5 / 365), ("n", 5),
+        ("N_bar", 5), ("n_samples", 3000), ("seed", 8),
+        ("optimizer", "lloyd"),
+    ])
+    def test_key_follows_dynamics_and_fit(self, tmp_path, field, value):
+        path = write_config(tmp_path, n=4, sigma1=0.36, sigma2=1.11)
+        key = tree_cache_key(load_config(path))
+        doc = json.loads(path.read_text())
+        section = "model" if field in doc["model"] else "pricing"
+        doc[section][field] = value
+        path.write_text(json.dumps(doc))
+        assert tree_cache_key(load_config(path)) != key
+
+    def test_remark_reuses_the_tree(self, tmp_path):
+        common = dict(sigma1=0.36, sigma2=1.11, n=4, n_bar=3,
+                      n_samples=1000, q=(1.0, 3.0))
+        curve_b = dict(forward=[20.0, 21.5, 19.25, 20.125], strike=19.5,
+                       r=0.02)
+        (tmp_path / "warm").mkdir()
+        (tmp_path / "cold").mkdir()
+        warm = write_config(tmp_path / "warm", **common)
+        first = run_cli(["--config", str(warm), "price"])
+        assert "build_tree_seconds" in json.loads(first.output)["timings"]
+        write_config(tmp_path / "warm", **common, **curve_b)
+        cold = write_config(tmp_path / "cold", **common, **curve_b)
+        reports = []
+        for cfg in (warm, cold):
+            res = run_cli(["--config", str(cfg), "price"])
+            assert res.exit_code == 0, res.output
+            reports.append(json.loads(res.output))
+            assert run_cli(["--config", str(cfg), "surface"]).exit_code == 0
+        remark, fresh = reports
+        assert "build_tree_seconds" not in remark["timings"]
+        assert set(remark["timings"]) >= {"load_seconds"}
+        assert len(list((tmp_path / "warm" / "out" / "cache").iterdir())) == 1
+        for field in ("price", "mc_policy_value", "std_err"):
+            assert remark[field] == fresh[field], field
+        assert remark["price"] != json.loads(first.output)["price"]
+        surfaces = [(tmp_path / sub / "out" / "surface.csv").read_bytes()
+                    for sub in ("warm", "cold")]
+        assert surfaces[0] == surfaces[1]
+
+    def test_mismatched_manifest_rebuilds(self, tmp_path):
+        cfg = load_config(write_config(tmp_path, sigma1=0.36, sigma2=1.11,
+                                       n=4, n_bar=3, n_samples=1000))
+        _, manifest, _ = ensure_tree(cfg)
+        path = cfg.out_dir / "cache" / manifest["cache_key"] / "manifest.json"
+        doc = json.loads(path.read_text())
+        doc["model"]["sigma1"] = 0.5
+        path.write_text(json.dumps(doc))
+        tree, manifest, timings = ensure_tree(cfg)
+        assert "build_tree_seconds" in timings
+        assert tree.params.sigma1 == 0.36
+        assert json.loads(path.read_text())["model"]["sigma1"] == 0.36
 
     def test_cold_build_returns_the_saved_manifest(self, tmp_path, monkeypatch):
         cfg = load_config(write_config(tmp_path, sigma1=0.36, sigma2=1.11,

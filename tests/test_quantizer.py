@@ -9,6 +9,7 @@ from swingquant.quantizer import (
     Codebook,
     clvq_optimize,
     distortion,
+    has_distinct_rows,
     lloyd_optimize,
     load_codebook_csv,
     nearest_index,
@@ -117,6 +118,20 @@ class TestDistortion:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             distortion(np.empty((0, 1)), cb1d(0.0))
+
+
+class TestDistinctRows:
+    @pytest.mark.parametrize("m", [1, 3, 4, 5, 50])
+    def test_matches_the_full_count(self, m):
+        rng = np.random.default_rng(3)
+        # distinct rows only late in the array, past any short prefix
+        rows = np.zeros((400, 2))
+        rows[-3:] = rng.normal(size=(3, 2))
+        assert has_distinct_rows(rows, m) == (4 >= m)
+        cloud = rng.normal(size=(400, 2))
+        assert has_distinct_rows(cloud, m)
+        assert has_distinct_rows(cloud[:m], m)
+        assert not has_distinct_rows(cloud[: m - 1], m)
 
 
 class TestLloyd:

@@ -360,6 +360,26 @@ class TestPersistence:
         assert p1 == pytest.approx(p2, rel=1e-12)
 
 
+class TestRemark:
+    def test_curves_leave_grids_and_transitions_alone(self, small_tree):
+        other = make_params(n=10, forward=np.linspace(18.0, 23.0, 10),
+                            strike=np.linspace(21.0, 19.0, 10), r=0.04)
+        fresh = build_tree(other, n_bar=20, n_samples=100_000, seed=2024)
+        for a, b in zip(fresh.grids, small_tree.grids):
+            np.testing.assert_array_equal(a.points, b.points)
+            np.testing.assert_array_equal(a.weights, b.weights)
+        for a, b in zip(fresh.transitions, small_tree.transitions):
+            np.testing.assert_array_equal(a, b)
+        remarked = small_tree.remarked(other)
+        assert remarked.params is other
+        for a, b in zip(remarked.payoff_values, fresh.payoff_values):
+            np.testing.assert_array_equal(a, b)
+
+    def test_rejects_other_dynamics(self, small_tree):
+        with pytest.raises(ValueError, match="dynamics"):
+            small_tree.remarked(make_params(n=10, sigma1=0.4))
+
+
 class TestStripConvergence:
     def test_error_not_reduced_by_halving_grid(self):
         params = make_params(n=10)
