@@ -18,7 +18,7 @@ import shutil
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import click
@@ -101,7 +101,6 @@ class RunConfig:
     policy_seed: int
     optimizer: str
     out_dir: Path
-    formats: tuple[str, ...]
 
 
 def load_config(path, seed_override=None, out_override=None) -> RunConfig:
@@ -146,11 +145,10 @@ def load_config(path, seed_override=None, out_override=None) -> RunConfig:
     )
     if not out_dir.is_absolute():
         out_dir = (path.parent / out_dir).resolve()
-    formats = tuple(output.get("formats", ("json", "csv")))
     return RunConfig(
         params=params, q_lo=q_lo, q_hi=q_hi, n_bar=n_bar, n_samples=n_samples,
         seed=seed, policy_paths=policy_paths, policy_seed=policy_seed,
-        optimizer=optimizer, out_dir=out_dir, formats=formats,
+        optimizer=optimizer, out_dir=out_dir,
     )
 
 
@@ -174,7 +172,7 @@ def output_lock(out_dir: Path):
         lock.unlink(missing_ok=True)
 
 
-def tree_cache_key(cfg: RunConfig, n_bar: int | None = None) -> str:
+def tree_cache_key(cfg: RunConfig) -> str:
     """Hash of what the grids and transitions depend on.
 
     The forward curve, the strikes and the rate enter only the payoffs,
@@ -182,7 +180,7 @@ def tree_cache_key(cfg: RunConfig, n_bar: int | None = None) -> str:
     """
     payload = {
         "dynamics": dynamics_to_dict(cfg.params),
-        "N_bar": n_bar if n_bar is not None else cfg.n_bar,
+        "N_bar": cfg.n_bar,
         "n_samples": cfg.n_samples,
         "seed": cfg.seed,
         "optimizer": cfg.optimizer,
@@ -193,7 +191,7 @@ def tree_cache_key(cfg: RunConfig, n_bar: int | None = None) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def ensure_tree(cfg: RunConfig, n_bar: int | None = None) -> tuple[QuantTree, dict, dict]:
+def ensure_tree(cfg: RunConfig) -> tuple[QuantTree, dict, dict]:
     """Build or reload the tree for the configuration.
 
     Returns ``(tree, manifest, timings)``.  Artifacts are content-addressed
@@ -203,8 +201,7 @@ def ensure_tree(cfg: RunConfig, n_bar: int | None = None) -> tuple[QuantTree, di
     ``load_seconds``.  A cached manifest whose key or dynamics disagree
     with the configuration is rebuilt.
     """
-    n_bar = n_bar if n_bar is not None else cfg.n_bar
-    key = tree_cache_key(cfg, n_bar)
+    key = tree_cache_key(cfg)
     cache_dir = cfg.out_dir / "cache" / key
     if (cache_dir / "manifest.json").exists():
         t0 = time.perf_counter()
@@ -219,11 +216,11 @@ def ensure_tree(cfg: RunConfig, n_bar: int | None = None) -> tuple[QuantTree, di
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
     tree = build_tree(
-        cfg.params, n_bar, cfg.n_samples, cfg.seed, cfg.optimizer
+        cfg.params, cfg.n_bar, cfg.n_samples, cfg.seed, cfg.optimizer
     )
     timings["build_tree_seconds"] = time.perf_counter() - t0
     manifest_extra = {
-        "N_bar": n_bar,
+        "N_bar": cfg.n_bar,
         "n_samples": cfg.n_samples,
         "seed": cfg.seed,
         "optimizer": cfg.optimizer,
@@ -321,7 +318,7 @@ def run_converge(cfg: RunConfig, n_bars: list[int]) -> tuple[Path, list[dict]]:
     rows = []
     for n_bar in n_bars:
         t0 = time.perf_counter()
-        tree, _, _ = ensure_tree(cfg, n_bar=n_bar)
+        tree, _, _ = ensure_tree(replace(cfg, n_bar=n_bar))
         price, _ = quantized_dp_price(tree, GlobalConstraints(0.0, float(n)))
         wall = time.perf_counter() - t0
         rows.append({

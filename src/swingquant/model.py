@@ -118,10 +118,7 @@ def factor_step(params: TwoFactorParams) -> tuple[np.ndarray, np.ndarray]:
     """
     a1, a2, dt = params.alpha1, params.alpha2, params.dt
     decay = np.array([math.exp(-a1 * dt), math.exp(-a2 * dt)])
-    v1 = (1.0 - math.exp(-2 * a1 * dt)) / (2 * a1)
-    v2 = (1.0 - math.exp(-2 * a2 * dt)) / (2 * a2)
-    c = params.rho * (1.0 - math.exp(-(a1 + a2) * dt)) / (a1 + a2)
-    return decay, np.array([[v1, c], [c, v2]])
+    return decay, factor_marginal_covariance(params, dt)
 
 
 def factor_marginal_covariance(params: TwoFactorParams, t: float) -> np.ndarray:

@@ -120,8 +120,8 @@ class QuantTree:
 
         Grids and transitions depend on the factor dynamics alone, so a
         tree can be re-marked to new forward, strike and rate curves.  The
-        payoffs are forward-calibrated, as :func:`build_tree` does by
-        default.  Parameters with other dynamics are rejected.
+        payoffs are forward-calibrated, as :func:`build_tree` makes them.
+        Parameters with other dynamics are rejected.
         """
         if dynamics_to_dict(params) != dynamics_to_dict(self.params):
             raise ValueError(
@@ -129,14 +129,11 @@ class QuantTree:
                 f"{dynamics_to_dict(self.params)}"
             )
         return QuantTree(params, self.grids, self.transitions,
-                         _payoffs(params, self.grids, calibrate_forward=True))
+                         _payoffs(params, self.grids))
 
     def chained_weights(self) -> list[np.ndarray]:
         """Date-0 law pushed through the transition matrices."""
-        w = [self.root_weights()]
-        for t in self.transitions:
-            w.append(w[-1] @ t)
-        return w
+        return _chained(self.root_weights(), self.transitions)
 
 
 @dataclass
@@ -188,56 +185,50 @@ def _scaled_states(params: TwoFactorParams, paths: np.ndarray, k: int) -> np.nda
     return paths[:, k, :] * params.vols
 
 
+_LLOYD_MAX_ITER = 60
+_LLOYD_TOL = 2e-6
+_CLVQ_STEPS_PER_POINT = 30
+
+
 def build_grids(
     params: TwoFactorParams,
+    paths: np.ndarray,
     n_bar: int,
-    n_samples: int,
     seed: int,
     optimizer: str = "clvq-lloyd",
     *,
     max_fit_samples: int = 50_000,
-    lloyd_max_iter: int = 60,
-    lloyd_tol: float = 2e-6,
-    clvq_steps: int | None = None,
-    standardize: bool = True,
-    paths: np.ndarray | None = None,
 ) -> list[Codebook]:
-    """One optimized codebook of the scaled factor state per date.
+    """One optimized, unweighted codebook of the scaled factor state per date.
 
-    Date 0 always gets the single deterministic point (0, 0).  Later dates
-    are fitted on a thinned subsample (at most ``max_fit_samples``) with the
+    ``paths`` is the factor path array of :func:`build_tree`.  Date 0
+    always gets the single deterministic point (0, 0).  Later dates are
+    fitted on a thinned subsample (at most ``max_fit_samples``) with the
     chosen optimizer: ``"lloyd"`` (seeded from spread samples),
     ``"clvq"`` (online pass only) or ``"clvq-lloyd"`` (online seeding, then
     fixed-point polish; the default).  Consecutive dates warm-start from the
     previous grid rescaled by the marginal standard deviations, which cuts
     the fixed-point iterations sharply.  Sample clouds with at most
     ``n_bar`` distinct points (degenerate volatility) collapse to exactly
-    those points.  A fixed-point pass that hits ``lloyd_max_iter`` keeps its
+    those points.  A fixed-point pass that hits its iteration cap keeps its
     last iterate (:func:`lloyd_optimize` logs it).
     """
     if n_bar < 1:
         raise ValueError("n_bar must be >= 1")
-    if n_samples < 10 * n_bar:
+    if len(paths) < 10 * n_bar:
         raise ValueError("n_samples must be at least 10 * n_bar")
     if optimizer not in ("lloyd", "clvq", "clvq-lloyd"):
         raise ValueError(f"unknown optimizer {optimizer!r}")
-    if paths is None:
-        paths = simulate_factor_paths(
-            params, n_samples, seed, antithetic=standardize,
-            standardize=standardize,
-        )
     rng = np.random.default_rng(seed ^ 0x9E3779B97F4A7C15)
 
-    grids: list[Codebook] = [Codebook(np.zeros((1, 2)), np.ones(1))]
+    grids: list[Codebook] = [Codebook(np.zeros((1, 2)))]
     prev_scale = None
     for k in range(1, params.n):
         z = _scaled_states(params, paths, k)
         stride = max(1, -(-len(z) // max_fit_samples))
         fit = z[::stride]
         if not has_distinct_rows(fit, n_bar + 1):
-            uniq = np.unique(fit, axis=0)
-            counts = _cell_counts(fit, uniq)
-            grids.append(Codebook(uniq, counts / counts.sum()))
+            grids.append(Codebook(np.unique(fit, axis=0)))
             prev_scale = None
             continue
 
@@ -254,53 +245,34 @@ def build_grids(
             picks = rng.choice(len(uniq), size=n_bar, replace=False)
             init = uniq[np.sort(picks)]
         if optimizer in ("clvq", "clvq-lloyd"):
-            steps = clvq_steps if clvq_steps is not None else 30 * n_bar
+            steps = _CLVQ_STEPS_PER_POINT * n_bar
             order = rng.permutation(len(fit))[: steps + 4096]
             seeded, _ = clvq_optimize(
                 iter(fit[order]), Codebook(init), steps=min(steps, len(order))
             )
             if len(np.unique(seeded.points, axis=0)) == n_bar:
                 init = seeded.points
-        if optimizer == "clvq":
-            counts = _cell_counts(fit, init)
-            grids.append(Codebook(init, counts / counts.sum()))
-        else:
-            cb, _ = lloyd_optimize(
-                fit, Codebook(init), max_iter=lloyd_max_iter, tol=lloyd_tol
-            )
-            grids.append(cb)
+        if optimizer != "clvq":
+            cb, _ = lloyd_optimize(fit, Codebook(init),
+                                   max_iter=_LLOYD_MAX_ITER, tol=_LLOYD_TOL)
+            init = cb.points
+        grids.append(Codebook(init))
         prev_scale = scale
     return grids
-
-
-def _cell_counts(samples: np.ndarray, points: np.ndarray) -> np.ndarray:
-    cb = Codebook(points)
-    idx = nearest_indices(samples, cb)
-    return np.bincount(idx, minlength=len(points)).astype(float)
 
 
 def estimate_transitions(
     params: TwoFactorParams,
     grids: list[Codebook],
-    n_samples: int,
-    seed: int,
-    *,
-    standardize: bool = True,
-    paths: np.ndarray | None = None,
+    paths: np.ndarray,
 ) -> list[np.ndarray]:
     """Row-stochastic matrices linking consecutive codebooks.
 
-    Counts nearest-cell pairs along one shared simulated path set (the same
-    seed reproduces the grid-construction set).  Rows never visited default
-    to the marginal weight vector of the next grid, keeping every row a
-    proper distribution; such rows are logged so callers can raise
-    ``n_samples``.
+    Counts nearest-cell pairs along ``paths``, the path array the grids
+    were fitted on.  Rows never visited default to the next date's
+    marginal cell frequencies, keeping every row a proper distribution;
+    such rows are logged so callers can raise ``n_samples``.
     """
-    if paths is None:
-        paths = simulate_factor_paths(
-            params, n_samples, seed, antithetic=standardize,
-            standardize=standardize,
-        )
     n = params.n
     transitions: list[np.ndarray] = []
     idx_prev = nearest_indices(_scaled_states(params, paths, 0), grids[0])
@@ -333,46 +305,45 @@ def build_tree(
     seed: int,
     optimizer: str = "clvq-lloyd",
     *,
-    standardize: bool = True,
-    calibrate_forward: bool = True,
     max_fit_samples: int = 50_000,
 ) -> QuantTree:
     """Full pipeline: simulate once, fit grids, estimate transitions.
 
-    Grid weights are replaced by the date-0 law pushed through the
-    estimated transitions (identical to the path-set marginals), so the
-    stored weights, transition matrices and backward induction are mutually
-    consistent to machine precision.
+    The ``n_samples`` paths are antithetic and standardised per date, and
+    grids and transitions are both estimated from them.  Grid weights are
+    the date-0 law pushed through the estimated transitions (identical to
+    the path-set marginals), so the stored weights, transition matrices
+    and backward induction are mutually consistent to machine precision.
 
-    With ``calibrate_forward`` (the default) each date's grid spots are
-    rescaled by a constant so the weighted spot mean reprices the forward
-    exactly.  Collapsing the spot exponential onto finitely many points
-    otherwise undervalues its mean (a Jensen gap of order the squared
-    per-date quantization error), which shows up as a spurious negative
-    swap value for fully-saturated contracts; the correction factors are
-    ``1 + O(distortion^2)`` and vanish as the grids refine.
+    Each date's grid spots are rescaled by a constant so the weighted spot
+    mean reprices the forward exactly.  Collapsing the spot exponential
+    onto finitely many points otherwise undervalues its mean (a Jensen gap
+    of order the squared per-date quantization error), which shows up as a
+    spurious negative swap value for fully-saturated contracts; the
+    correction factors are ``1 + O(distortion^2)`` and vanish as the grids
+    refine.
     """
     paths = simulate_factor_paths(
-        params, n_samples, seed, antithetic=standardize, standardize=standardize
+        params, n_samples, seed, antithetic=True, standardize=True
     )
-    grids = build_grids(
-        params, n_bar, n_samples, seed, optimizer,
-        max_fit_samples=max_fit_samples, standardize=standardize, paths=paths,
-    )
-    transitions = estimate_transitions(
-        params, grids, n_samples, seed, standardize=standardize, paths=paths
-    )
-    weights = [np.ones(1)]
+    grids = build_grids(params, paths, n_bar, seed, optimizer,
+                        max_fit_samples=max_fit_samples)
+    transitions = estimate_transitions(params, grids, paths)
+    grids = [g.with_weights(w)
+             for g, w in zip(grids, _chained(np.ones(1), transitions))]
+    return QuantTree(params, grids, transitions, _payoffs(params, grids))
+
+
+def _chained(root: np.ndarray, transitions: list[np.ndarray]) -> list[np.ndarray]:
+    """The law ``root`` of date 0 pushed through ``transitions``."""
+    weights = [root]
     for t in transitions:
         weights.append(weights[-1] @ t)
-    grids = [g.with_weights(w) for g, w in zip(grids, weights)]
-    return QuantTree(params, grids, transitions,
-                     _payoffs(params, grids, calibrate_forward))
+    return weights
 
 
-def _payoffs(params: TwoFactorParams, grids: list[Codebook],
-             calibrate_forward: bool) -> list[np.ndarray]:
-    """Discounted payoff at every grid point, for the curves of ``params``.
+def _payoffs(params: TwoFactorParams, grids: list[Codebook]) -> list[np.ndarray]:
+    """Forward-calibrated discounted payoff at every grid point.
 
     The spot is linear in the forward, so the calibration factor
     ``F_k / (w . spot_k)`` is the same for every forward curve: re-marked
@@ -382,8 +353,7 @@ def _payoffs(params: TwoFactorParams, grids: list[Codebook],
     for k in range(params.n):
         spot, _ = spot_and_payoff_scaled(params, k, grids[k].points)
         spot = np.atleast_1d(spot)
-        if calibrate_forward:
-            spot = spot * (params.forward[k] / float(grids[k].weights @ spot))
+        spot = spot * (params.forward[k] / float(grids[k].weights @ spot))
         discount = math.exp(-params.r * k * params.dt)
         payoffs.append(discount * (spot - params.strikes[k]))
     return payoffs

@@ -60,7 +60,7 @@ def reference_config(tmp_path_factory):
     return RunConfig(
         params=params, q_lo=0.0, q_hi=30.0, n_bar=200, n_samples=1_000_000,
         seed=20110, policy_paths=10_000, policy_seed=20111,
-        optimizer="clvq-lloyd", out_dir=out_dir, formats=("json", "csv"),
+        optimizer="clvq-lloyd", out_dir=out_dir,
     )
 
 

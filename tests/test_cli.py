@@ -1,13 +1,20 @@
 """Command-line integration tests: exit codes, formats, determinism."""
+import functools
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import jsonschema
-import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from helpers import deterministic_lattice
-from swingquant import cli
+import swingquant
+from swingquant import cli, quantizer, tree
 from swingquant.cli import (
     PRICE_REPORT_SCHEMA,
     ensure_tree,
@@ -21,6 +28,7 @@ from swingquant.contracts import (
     interpolate_on_tile,
 )
 from swingquant.oracle import price_lattice_dp
+from swingquant.quantizer import nearest_indices
 from swingquant.tree import load_tree
 
 
@@ -48,6 +56,12 @@ def write_config(tmp_path, name="config.json", *, n=3, sigma1=0.0, sigma2=0.0,
 
 def run_cli(args, **kwargs):
     return CliRunner().invoke(main, args, catch_exceptions=False, **kwargs)
+
+
+def cache_digests(out):
+    """``{relative path: sha256}`` of every file under ``out/cache``."""
+    return {str(p.relative_to(out)): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted((out / "cache").rglob("*")) if p.is_file()}
 
 
 class TestPriceCommand:
@@ -275,6 +289,39 @@ class TestDeterminism:
         assert a["price"] == b["price"]
         assert a["mc_policy_value"] == b["mc_policy_value"]
 
+    @pytest.mark.parametrize("optimizer", ["lloyd", "clvq", "clvq-lloyd"])
+    def test_cache_bytes_ignore_threads_and_block(self, tmp_path, monkeypatch,
+                                                  optimizer):
+        # one tree built with 1 and 2 BLAS threads in a fresh interpreter,
+        # and in-process with another projection block size
+        path = write_config(tmp_path, n=5, sigma1=0.36, sigma2=1.11, n_bar=6,
+                            n_samples=20_000)
+        doc = json.loads(path.read_text())
+        doc["pricing"]["optimizer"] = optimizer
+        path.write_text(json.dumps(doc))
+        src = str(Path(swingquant.__file__).resolve().parents[1])
+        digests = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            env = dict(os.environ, PYTHONPATH=src, OMP_NUM_THREADS=threads,
+                       OPENBLAS_NUM_THREADS=threads)
+            res = subprocess.run(
+                [sys.executable, "-m", "swingquant.cli", "--config", str(path),
+                 "--out", str(out), "grids"],
+                env=env, capture_output=True, text=True, timeout=300)
+            assert res.returncode == 0, res.stderr
+            digests.append(cache_digests(out))
+        blocked = functools.partial(nearest_indices, block=97)
+        monkeypatch.setattr(tree, "nearest_indices", blocked)
+        monkeypatch.setattr(quantizer, "nearest_indices", blocked)
+        out = tmp_path / "block97"
+        res = run_cli(["--config", str(path), "--out", str(out), "grids"])
+        assert res.exit_code == 0, res.output
+        digests.append(cache_digests(out))
+        assert digests[0] == digests[1] == digests[2]
+        # one cache directory: 5 grids, 4 transitions, payoffs, manifest
+        assert len(digests[0]) == 11
+
 
 class TestTreeCache:
     def test_cache_key_is_stable(self, tmp_path):
@@ -282,7 +329,7 @@ class TestTreeCache:
         cfg = load_config(write_config(tmp_path, n=4, sigma1=0.36, sigma2=1.11,
                                        forward=[20.0, 21.5, 19.25, 20.125]))
         assert tree_cache_key(cfg) == "6afa8346e9519ddf"
-        assert tree_cache_key(cfg, n_bar=9) == "848271e06e256e05"
+        assert tree_cache_key(replace(cfg, n_bar=9)) == "848271e06e256e05"
 
     def test_key_ignores_curves_and_rate(self, tmp_path):
         base = dict(n=4, sigma1=0.36, sigma2=1.11)

@@ -1,6 +1,5 @@
 """Codebook construction, projection and optimiser tests."""
 import itertools
-import math
 
 import numpy as np
 import pytest

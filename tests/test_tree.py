@@ -1,6 +1,4 @@
 """Quantized pricing engine tests."""
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,9 +11,9 @@ from helpers import (
     tree_as_lattice,
 )
 from swingquant.contracts import GlobalConstraints, interpolate_on_tile
-from swingquant.model import closed_form_strip
+from swingquant.model import closed_form_strip, simulate_factor_paths
 from swingquant.oracle import price_lattice_bruteforce
-from swingquant.quantizer import Codebook, distortion
+from swingquant.quantizer import Codebook, distortion, nearest_indices
 from swingquant.tree import (
     QuantTree,
     build_grids,
@@ -91,6 +89,12 @@ def trees_with_bounds(draw):
 make_params = flat_params
 
 
+def build_paths(params, n_samples, seed):
+    """The path array :func:`build_tree` simulates."""
+    return simulate_factor_paths(params, n_samples, seed,
+                                 antithetic=True, standardize=True)
+
+
 @pytest.fixture(scope="module")
 def small_tree():
     params = make_params(n=10)
@@ -100,7 +104,8 @@ def small_tree():
 class TestBuildGrids:
     def test_single_point_grids_are_zero_mean(self):
         params = make_params(n=4)
-        grids = build_grids(params, n_bar=1, n_samples=20_000, seed=5)
+        grids = build_grids(params, build_paths(params, 20_000, 5),
+                            n_bar=1, seed=5)
         assert len(grids) == 4
         for g in grids:
             assert g.n_points == 1
@@ -109,19 +114,17 @@ class TestBuildGrids:
 
     def test_degenerate_vol_collapses(self):
         params = make_params(n=5, sigma1=0.0, sigma2=0.0)
-        grids = build_grids(params, n_bar=8, n_samples=5_000, seed=6)
+        grids = build_grids(params, build_paths(params, 5_000, 6),
+                            n_bar=8, seed=6)
         for g in grids:
             assert g.n_points == 1
             np.testing.assert_array_equal(g.points, [[0.0, 0.0]])
 
     def test_distortion_decreases_with_size(self):
         params = make_params(n=4)
-        paths = None
-        from swingquant.model import simulate_factor_paths
-        paths = simulate_factor_paths(params, 40_000, seed=7,
-                                      antithetic=True, standardize=True)
-        coarse = build_grids(params, 10, 40_000, seed=7, paths=paths)
-        fine = build_grids(params, 50, 40_000, seed=7, paths=paths)
+        paths = build_paths(params, 40_000, 7)
+        coarse = build_grids(params, paths, 10, seed=7)
+        fine = build_grids(params, paths, 50, seed=7)
         for k in range(1, 4):
             z = paths[:, k, :] * params.vols
             assert distortion(z, fine[k]) < distortion(z, coarse[k])
@@ -129,7 +132,8 @@ class TestBuildGrids:
     def test_sample_floor_enforced(self):
         params = make_params(n=3)
         with pytest.raises(ValueError):
-            build_grids(params, n_bar=100, n_samples=500, seed=1)
+            build_grids(params, build_paths(params, 500, 1), n_bar=100,
+                        seed=1)
 
 
 class TestEstimateTransitions:
@@ -140,8 +144,9 @@ class TestEstimateTransitions:
 
     def test_deterministic_chain_identity(self):
         params = make_params(n=4, sigma1=0.0, sigma2=0.0)
-        grids = build_grids(params, 5, 5_000, seed=3)
-        trans = estimate_transitions(params, grids, 5_000, seed=3)
+        paths = build_paths(params, 5_000, 3)
+        grids = build_grids(params, paths, 5, seed=3)
+        trans = estimate_transitions(params, grids, paths)
         for t in trans:
             np.testing.assert_array_equal(t, [[1.0]])
 
@@ -149,13 +154,9 @@ class TestEstimateTransitions:
         # near-instant mean reversion makes consecutive states independent,
         # so every row approaches the next-date marginal law
         params = make_params(n=3, alpha1=4000.0, alpha2=5000.0, rho=0.0)
-        from swingquant.model import simulate_factor_paths
-        paths = simulate_factor_paths(params, 1_000_000, seed=11,
-                                      antithetic=True, standardize=True)
-        grids = build_grids(params, 4, 1_000_000, seed=11, paths=paths)
-        trans = estimate_transitions(params, grids, 1_000_000, seed=11,
-                                     paths=paths)
-        from swingquant.quantizer import nearest_indices
+        paths = build_paths(params, 1_000_000, 11)
+        grids = build_grids(params, paths, 4, seed=11)
+        trans = estimate_transitions(params, grids, paths)
         for k, t in enumerate(trans):
             z = paths[:, k + 1, :] * params.vols
             idx = nearest_indices(z, grids[k + 1])
