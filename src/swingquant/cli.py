@@ -194,24 +194,25 @@ def tree_cache_key(cfg: RunConfig) -> str:
 def ensure_tree(cfg: RunConfig) -> tuple[QuantTree, dict, dict]:
     """Build or reload the tree for the configuration.
 
-    Returns ``(tree, manifest, timings)``.  Artifacts are content-addressed
-    under ``<out>/cache/<key>``.  On a cache hit the tree's payoffs are
-    re-derived for the configured curves (the manifest keeps the curves of
-    the build that filled the cache) and ``timings`` holds only
-    ``load_seconds``.  A cached manifest whose key or dynamics disagree
-    with the configuration is rebuilt.
+    Returns ``(tree, manifest, timings)``.  Artifacts live under
+    ``<out>/cache/<key>`` and hold only what the key hashes (grids,
+    transitions, manifest).  A hit derives the payoffs from the configured
+    curves, and ``timings`` holds only ``load_seconds``.  An incomplete,
+    damaged or mismatched cache directory is deleted and rebuilt.
     """
     key = tree_cache_key(cfg)
     cache_dir = cfg.out_dir / "cache" / key
     if (cache_dir / "manifest.json").exists():
         t0 = time.perf_counter()
-        tree, manifest = load_tree(cache_dir)
-        if (manifest.get("cache_key") == key
-                and dynamics_to_dict(tree.params) == dynamics_to_dict(cfg.params)):
-            tree = tree.remarked(cfg.params)
-            log.info("cache hit: %s", cache_dir)
-            return tree, manifest, {"load_seconds": time.perf_counter() - t0}
-        log.warning("cache %s does not match its key; rebuilding", cache_dir)
+        try:
+            tree, manifest = load_tree(cache_dir, cfg.params)
+            if manifest.get("cache_key") == key:
+                log.info("cache hit: %s", cache_dir)
+                return tree, manifest, {"load_seconds": time.perf_counter() - t0}
+        except ValueError as exc:  # other dynamics, or a damaged artifact
+            log.warning("cache %s rejected: %s", cache_dir, exc)
+    if cache_dir.exists():
+        log.warning("cache %s is incomplete or stale; rebuilding", cache_dir)
         shutil.rmtree(cache_dir)
     timings: dict[str, float] = {}
     t0 = time.perf_counter()

@@ -32,7 +32,6 @@ __all__ = [
     "closed_form_strip",
     "DYNAMICS_FIELDS",
     "dynamics_to_dict",
-    "params_to_dict",
     "params_from_dict",
 ]
 
@@ -288,22 +287,6 @@ DYNAMICS_FIELDS = ("alpha1", "alpha2", "sigma1", "sigma2", "rho", "T", "n")
 def dynamics_to_dict(params: TwoFactorParams) -> dict:
     """The :data:`DYNAMICS_FIELDS` of ``params``, by name."""
     return {name: getattr(params, name) for name in DYNAMICS_FIELDS}
-
-
-def params_to_dict(params: TwoFactorParams) -> dict:
-    """The document :func:`params_from_dict` reads, with inline curves."""
-    return {
-        "alpha1": params.alpha1,
-        "alpha2": params.alpha2,
-        "sigma1": params.sigma1,
-        "sigma2": params.sigma2,
-        "rho": params.rho,
-        "r": params.r,
-        "T": params.T,
-        "n": params.n,
-        "forward": [float(v) for v in params.forward],
-        "strike": [float(v) for v in params.strikes],
-    }
 
 
 def params_from_dict(doc: dict, base_dir=".") -> TwoFactorParams:

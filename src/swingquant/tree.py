@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import os
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -28,8 +29,6 @@ from .contracts import GlobalConstraints, PremiumSurface, integer_vertices
 from .model import (
     TwoFactorParams,
     dynamics_to_dict,
-    params_from_dict,
-    params_to_dict,
     simulate_factor_paths,
     spot_and_payoff,
     spot_and_payoff_scaled,
@@ -114,22 +113,6 @@ class QuantTree:
                 raise ValueError("date-0 grid needs weights when it has >1 point")
             return np.ones(1)
         return np.asarray(w)
-
-    def remarked(self, params: TwoFactorParams) -> "QuantTree":
-        """The same grids and transitions, with the payoffs of ``params``.
-
-        Grids and transitions depend on the factor dynamics alone, so a
-        tree can be re-marked to new forward, strike and rate curves.  The
-        payoffs are forward-calibrated, as :func:`build_tree` makes them.
-        Parameters with other dynamics are rejected.
-        """
-        if dynamics_to_dict(params) != dynamics_to_dict(self.params):
-            raise ValueError(
-                f"dynamics {dynamics_to_dict(params)} differ from the tree's "
-                f"{dynamics_to_dict(self.params)}"
-            )
-        return QuantTree(params, self.grids, self.transitions,
-                         _payoffs(params, self.grids))
 
     def chained_weights(self) -> list[np.ndarray]:
         """Date-0 law pushed through the transition matrices."""
@@ -246,7 +229,7 @@ def build_grids(
             init = uniq[np.sort(picks)]
         if optimizer in ("clvq", "clvq-lloyd"):
             steps = _CLVQ_STEPS_PER_POINT * n_bar
-            order = rng.permutation(len(fit))[: steps + 4096]
+            order = rng.permutation(len(fit))[:steps]
             seeded, _ = clvq_optimize(
                 iter(fit[order]), Codebook(init), steps=min(steps, len(order))
             )
@@ -545,9 +528,11 @@ def extract_and_value_policy(
 
 
 def save_tree(tree: QuantTree, directory, manifest_extra: dict | None = None) -> dict:
-    """Persist grids, transitions and payoffs as CSV plus a JSON manifest.
+    """Persist grids and transitions as CSV, and a manifest of the dynamics.
 
-    Returns the manifest it wrote.
+    The payoffs follow from the curves and are left to :func:`load_tree`.
+    The manifest is published last, by an atomic rename, so a directory
+    holding ``manifest.json`` is complete.  Returns the manifest.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -556,38 +541,35 @@ def save_tree(tree: QuantTree, directory, manifest_extra: dict | None = None) ->
     for k, t in enumerate(tree.transitions):
         np.savetxt(directory / f"transition_{k:03d}.csv", t, delimiter=",",
                    fmt="%.17g")
-    with (directory / "payoffs.csv").open("w") as fh:
-        fh.write("date,node,value\n")
-        for k, v in enumerate(tree.payoff_values):
-            for i, val in enumerate(v):
-                fh.write(f"{k},{i},{float(val)!r}\n")
     manifest = {
-        "model": params_to_dict(tree.params),
+        "model": dynamics_to_dict(tree.params),
         "grid_sizes": [g.n_points for g in tree.grids],
         "transition_scheme": TRANSITION_SCHEME,
     }
     if manifest_extra:
         manifest.update(manifest_extra)
-    (directory / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n"
-    )
+    partial = directory / "manifest.json.partial"
+    partial.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    os.replace(partial, directory / "manifest.json")
     return manifest
 
 
-def load_tree(directory) -> tuple[QuantTree, dict]:
-    """Restore a tree saved by :func:`save_tree`; returns (tree, manifest)."""
+def load_tree(directory, params: TwoFactorParams) -> tuple[QuantTree, dict]:
+    """The tree saved by :func:`save_tree`, priced for ``params``.
+
+    Reads the grids and transitions and derives the payoffs of ``params``
+    as :func:`build_tree` does.  Raises ``ValueError`` if ``params`` has
+    other dynamics than the saved tree.  Returns ``(tree, manifest)``.
+    """
     directory = Path(directory)
     manifest = json.loads((directory / "manifest.json").read_text())
-    params = params_from_dict(manifest["model"], base_dir=directory)
+    if manifest.get("model") != dynamics_to_dict(params):
+        raise ValueError(f"dynamics {dynamics_to_dict(params)} differ from "
+                         f"the saved tree's {manifest.get('model')}")
     n = params.n
     grids = [load_codebook_csv(directory / f"grid_{k:03d}.csv") for k in range(n)]
     transitions = [
         np.loadtxt(directory / f"transition_{k:03d}.csv", delimiter=",", ndmin=2)
         for k in range(n - 1)
     ]
-    payoffs: list[list[float]] = [[] for _ in range(n)]
-    lines = (directory / "payoffs.csv").read_text().strip().splitlines()[1:]
-    for line in lines:
-        k, i, val = line.split(",")
-        payoffs[int(k)].append(float(val))
-    return QuantTree(params, grids, transitions, payoffs), manifest
+    return QuantTree(params, grids, transitions, _payoffs(params, grids)), manifest

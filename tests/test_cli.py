@@ -2,6 +2,7 @@
 import functools
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -29,7 +30,7 @@ from swingquant.contracts import (
 )
 from swingquant.oracle import price_lattice_dp
 from swingquant.quantizer import nearest_indices
-from swingquant.tree import load_tree
+from swingquant.tree import load_tree, quantized_dp_price
 
 
 def write_config(tmp_path, name="config.json", *, n=3, sigma1=0.0, sigma2=0.0,
@@ -319,8 +320,8 @@ class TestDeterminism:
         assert res.exit_code == 0, res.output
         digests.append(cache_digests(out))
         assert digests[0] == digests[1] == digests[2]
-        # one cache directory: 5 grids, 4 transitions, payoffs, manifest
-        assert len(digests[0]) == 11
+        # one cache directory: 5 grids, 4 transitions, manifest
+        assert len(digests[0]) == 10
 
 
 class TestTreeCache:
@@ -400,15 +401,55 @@ class TestTreeCache:
         cfg = load_config(write_config(tmp_path, sigma1=0.36, sigma2=1.11,
                                        n=4, n_bar=3, n_samples=1000))
 
-        def no_reload(directory):
+        def no_reload(directory, params):
             raise AssertionError("a cold build reloaded its own artifact")
 
         monkeypatch.setattr(cli, "load_tree", no_reload)
         _, manifest, timings = ensure_tree(cfg)
         monkeypatch.undo()
         assert "build_tree_seconds" in timings
-        _, saved = load_tree(cfg.out_dir / "cache" / manifest["cache_key"])
+        _, saved = load_tree(cfg.out_dir / "cache" / manifest["cache_key"],
+                             cfg.params)
         assert manifest == saved
+
+    def test_cache_files_ignore_curves_and_rate(self, tmp_path):
+        outs = []
+        for sub, curves in (("a", {}),
+                            ("b", dict(forward=[20.0, 21.5, 19.25, 20.125],
+                                       strike=17.5, r=0.03))):
+            (tmp_path / sub).mkdir()
+            cfg = write_config(tmp_path / sub, sigma1=0.36, sigma2=1.11, n=4,
+                               n_bar=3, n_samples=1000, **curves)
+            assert run_cli(["--config", str(cfg), "grids"]).exit_code == 0
+            outs.append(tmp_path / sub / "out")
+        assert cache_digests(outs[0]) == cache_digests(outs[1])
+
+    def test_interrupted_manifest_write_rebuilds(self, tmp_path, monkeypatch):
+        cfg = load_config(write_config(tmp_path, sigma1=0.36, sigma2=1.11,
+                                       n=4, n_bar=3, n_samples=1000))
+        write_text = Path.write_text
+
+        def interrupted(path, text, *args, **kwargs):
+            if "manifest" in path.name:
+                write_text(path, text[: len(text) // 2], *args, **kwargs)
+                raise KeyboardInterrupt
+            return write_text(path, text, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            ensure_tree(cfg)
+        monkeypatch.undo()
+        tree, manifest, timings = ensure_tree(cfg)
+        assert "build_tree_seconds" in timings
+        price, _ = quantized_dp_price(tree, GlobalConstraints(1.0, 3.0))
+        assert math.isfinite(price)
+        cache = {p.name for p in
+                 (cfg.out_dir / "cache" / manifest["cache_key"]).iterdir()}
+        assert cache == ({f"grid_{k:03d}.csv" for k in range(4)}
+                         | {f"transition_{k:03d}.csv" for k in range(3)}
+                         | {"manifest.json"})
+        _, again, timings = ensure_tree(cfg)
+        assert again == manifest and "load_seconds" in timings
 
 
 class TestAuxCommands:

@@ -347,7 +347,7 @@ class TestPolicy:
 class TestPersistence:
     def test_round_trip(self, small_tree, tmp_path):
         save_tree(small_tree, tmp_path / "tree", {"seed": 2024})
-        back, manifest = load_tree(tmp_path / "tree")
+        back, manifest = load_tree(tmp_path / "tree", small_tree.params)
         assert manifest["seed"] == 2024
         assert manifest["transition_scheme"] == "joint-path-counting"
         assert back.n == small_tree.n
@@ -362,7 +362,8 @@ class TestPersistence:
 
 
 class TestRemark:
-    def test_curves_leave_grids_and_transitions_alone(self, small_tree):
+    def test_curves_leave_grids_and_transitions_alone(self, small_tree,
+                                                      tmp_path):
         other = make_params(n=10, forward=np.linspace(18.0, 23.0, 10),
                             strike=np.linspace(21.0, 19.0, 10), r=0.04)
         fresh = build_tree(other, n_bar=20, n_samples=100_000, seed=2024)
@@ -371,14 +372,16 @@ class TestRemark:
             np.testing.assert_array_equal(a.weights, b.weights)
         for a, b in zip(fresh.transitions, small_tree.transitions):
             np.testing.assert_array_equal(a, b)
-        remarked = small_tree.remarked(other)
+        save_tree(small_tree, tmp_path / "tree")
+        remarked, _ = load_tree(tmp_path / "tree", other)
         assert remarked.params is other
         for a, b in zip(remarked.payoff_values, fresh.payoff_values):
             np.testing.assert_array_equal(a, b)
 
-    def test_rejects_other_dynamics(self, small_tree):
+    def test_rejects_other_dynamics(self, small_tree, tmp_path):
+        save_tree(small_tree, tmp_path / "tree")
         with pytest.raises(ValueError, match="dynamics"):
-            small_tree.remarked(make_params(n=10, sigma1=0.4))
+            load_tree(tmp_path / "tree", make_params(n=10, sigma1=0.4))
 
 
 class TestStripConvergence:
