@@ -9,6 +9,7 @@ price report.
 """
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
 import logging
@@ -131,10 +132,9 @@ def load_config(path, seed_override=None, out_override=None) -> RunConfig:
         optimizer = str(pricing.get("optimizer", "clvq-lloyd"))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad pricing section: {exc}") from exc
-    if n_bar < 1:
-        raise ConfigError("N_bar must be >= 1")
-    if n_samples < 10 * n_bar:
-        raise ConfigError("n_samples must be at least 10 * N_bar")
+    _check_n_bar(n_bar, n_samples)
+    if seed < 0 or policy_seed < 0:
+        raise ConfigError("seeds must be >= 0")
     if policy_paths < 2:
         raise ConfigError("policy_paths must be >= 2")
     if optimizer not in ("lloyd", "clvq", "clvq-lloyd"):
@@ -152,24 +152,31 @@ def load_config(path, seed_override=None, out_override=None) -> RunConfig:
     )
 
 
+def _check_n_bar(n_bar: int, n_samples: int) -> None:
+    """Range checks of a grid size against the configured sample count."""
+    if n_bar < 1:
+        raise ConfigError("N_bar must be >= 1")
+    if n_samples < 10 * n_bar:
+        raise ConfigError("n_samples must be at least 10 * N_bar")
+
+
 @contextmanager
 def output_lock(out_dir: Path):
-    """Single-writer guard: refuses to run against a locked directory."""
+    """Single-writer guard: refuses to run against a locked directory.
+
+    Holds an exclusive ``flock`` on ``<out>/.lock`` for the whole run.  The
+    kernel releases it when the holder exits or dies, so a crashed run
+    blocks nobody; the file itself stays.
+    """
     out_dir.mkdir(parents=True, exist_ok=True)
-    lock = out_dir / ".lock"
-    try:
-        fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        raise ConfigError(
-            f"output directory {out_dir} is locked by another run "
-            f"(remove {lock} if that run crashed)"
-        ) from None
-    try:
-        os.write(fd, str(os.getpid()).encode())
-        os.close(fd)
+    with open(out_dir / ".lock", "a") as fh:
+        try:
+            fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise ConfigError(
+                f"output directory {out_dir} is locked by another run"
+            ) from None
         yield
-    finally:
-        lock.unlink(missing_ok=True)
 
 
 def tree_cache_key(cfg: RunConfig) -> str:
@@ -460,6 +467,8 @@ def converge(ctx, n_bars):
     """Error against the call-strip oracle for each grid size."""
 
     def body(cfg):
+        for n_bar in n_bars:
+            _check_n_bar(n_bar, cfg.n_samples)
         csv_path, rows = run_converge(cfg, list(n_bars))
         click.echo(json.dumps({"converge": str(csv_path),
                                "rows": len(rows)}, sort_keys=True))
@@ -505,6 +514,8 @@ def simulate(ctx, n_paths):
     """Write simulated spot paths as CSV."""
 
     def body(cfg):
+        if n_paths < 1:
+            raise ConfigError("--paths must be >= 1")
         out = run_simulate(cfg, n_paths)
         click.echo(json.dumps({"spots": str(out)}, sort_keys=True))
 

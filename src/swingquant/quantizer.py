@@ -8,14 +8,15 @@ online stochastic-gradient pass, and a Newton solver for the standard
 normal in one dimension where density and distribution function are
 available in closed form.
 
-Nearest-neighbour search is an exhaustive linear scan (blocked matrix
-arithmetic with preallocated scratch, no per-sample allocation) with a
-sorted-midpoint shortcut in d=1.  Codebooks are immutable; all queries
-are pure functions and safe to call concurrently.
+Nearest-neighbour search is an exhaustive linear scan in every dimension
+(blocked matrix arithmetic with preallocated scratch, no per-sample
+allocation).  Codebooks are immutable; all queries are pure functions and
+safe to call concurrently.
 """
 from __future__ import annotations
 
 import csv
+import itertools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -116,28 +117,6 @@ def nearest_index(y, cb: Codebook) -> int:
     return int(np.argmin(d2))
 
 
-def _nearest_sorted_1d(y: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Sorted-midpoint search in d=1, tie-corrected to the linear-scan rule."""
-    x = y[:, 0]
-    p = points[:, 0]
-    order = np.argsort(p, kind="stable")
-    sp = p[order]
-    mids = 0.5 * (sp[:-1] + sp[1:])
-    pos = np.searchsorted(mids, x, side="left")
-    idx = order[pos]
-    if len(sp) > 1:
-        # A sample on an exact midpoint is equidistant to the sorted pair
-        # (pos, pos+1); the linear rule wants the smaller original index.
-        right = np.minimum(pos + 1, len(sp) - 1)
-        tie = (pos < len(mids)) & (
-            np.abs(x - sp[pos]) == np.abs(x - sp[right])
-        )
-        if tie.any():
-            idx = idx.copy()
-            idx[tie] = np.minimum(order[pos[tie]], order[right[tie]])
-    return idx
-
-
 def nearest_indices(samples, cb: Codebook, block: int = 16384) -> np.ndarray:
     """Vectorised nearest-point assignment for an (M, d) sample block.
 
@@ -146,8 +125,6 @@ def nearest_indices(samples, cb: Codebook, block: int = 16384) -> np.ndarray:
     """
     y = _as_samples(samples, cb.dim)
     pts = cb.points
-    if cb.dim == 1 and cb.n_points >= 16:
-        return _nearest_sorted_1d(y, pts)
     m = y.shape[0]
     out = np.empty(m, dtype=np.intp)
     # argmin of |y|^2 - 2 y.p + |p|^2 over points; |y|^2 is constant per row
@@ -189,6 +166,12 @@ def _quadratic_error(y: np.ndarray, pts: np.ndarray, idx: np.ndarray) -> np.ndar
     return ((y - pts[idx]) ** 2).sum(axis=1)
 
 
+def _cell_sums(y: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
+    """``(n, d)`` coordinate sums of the samples in each of the ``n`` cells."""
+    return np.stack([np.bincount(idx, weights=y[:, j], minlength=n)
+                     for j in range(y.shape[1])], axis=1)
+
+
 def lloyd_optimize(
     samples,
     cb0: Codebook,
@@ -202,10 +185,13 @@ def lloyd_optimize(
     The recorded distortion history is non-increasing.  A point whose cell
     empties is re-seeded at the sample currently farthest from its assigned
     point, which keeps the codebook size constant and strictly decreases
-    distortion.  Returned weights are the empirical cell frequencies.
+    distortion.  A run that stops at ``max_iter`` projects its last
+    points once more, so the returned weights (the empirical cell
+    frequencies), final distortion and stationarity residual always
+    describe the returned codebook.
     """
     y = _as_samples(samples, cb0.dim)
-    m, d = y.shape
+    m = y.shape[0]
     n = cb0.n_points
     if n > m:
         raise ValueError(f"cannot fit {n} points to {m} samples")
@@ -216,7 +202,6 @@ def lloyd_optimize(
     history: list[float] = []
     prev_d2 = None
     converged = False
-    idx = None
     iterations = 0
     for iterations in range(1, max_iter + 1):
         idx = nearest_indices(y, _view_codebook(pts))
@@ -243,21 +228,23 @@ def lloyd_optimize(
             break
         prev_d2 = d2
         # centroid update
-        sums = np.zeros((n, d))
-        np.add.at(sums, idx, y)
+        sums = _cell_sums(y, idx, n)
         nonzero = counts > 0
         pts[nonzero] = sums[nonzero] / counts[nonzero, None]
 
+    if not converged:
+        # the last pass moved the points after their projection
+        idx = nearest_indices(y, _view_codebook(pts))
+        history.append(math.sqrt(float(_quadratic_error(y, pts, idx).mean())))
+        log.warning("lloyd_optimize stopped at max_iter=%d (last distortion %.3g)",
+                    max_iter, history[-1])
     counts = np.bincount(idx, minlength=n)
-    sums = np.zeros((n, d))
-    np.add.at(sums, idx, y)
-    residual = 0.0
-    nonzero = counts > 0
-    if nonzero.any():
-        centroids = sums[nonzero] / counts[nonzero, None]
-        residual = float(
-            np.max(np.sqrt(((centroids - pts[nonzero]) ** 2).sum(axis=1)))
-        )
+    sums = _cell_sums(y, idx, n)
+    nonzero = counts > 0  # never all False: every sample has a cell
+    centroids = sums[nonzero] / counts[nonzero, None]
+    residual = float(
+        np.max(np.sqrt(((centroids - pts[nonzero]) ** 2).sum(axis=1)))
+    )
     weights = counts / counts.sum()
     report = OptimizerReport(
         iterations=iterations,
@@ -266,9 +253,6 @@ def lloyd_optimize(
         stationarity_residual=residual,
         converged=converged,
     )
-    if not converged:
-        log.warning("lloyd_optimize stopped at max_iter=%d (last distortion %.3g)",
-                    max_iter, history[-1])
     for a, b in zip(history, history[1:]):
         assert b <= a * (1.0 + 1e-12), "distortion increased during iteration"
     return Codebook(pts, weights), report
@@ -286,67 +270,32 @@ def clvq_optimize(
     sample_stream,
     cb0: Codebook,
     steps: int,
-    a: float = 1.0,
-    b: float | None = None,
-    holdout: int = 4096,
 ) -> tuple[Codebook, OptimizerReport]:
     """Online codebook descent: pull the nearest point toward each sample.
 
-    For the ``t``-th sample the nearest point moves by the fraction
-    ``a / (b + t)`` of its offset (``b`` defaults to ``100 * N``; the
-    harmonic schedule sums to infinity while its squares stay summable).
-    After ``steps`` samples, up to ``holdout`` further samples estimate the
-    distortion and cell weights of the final codebook.
+    For the ``t``-th of at most ``steps`` samples the nearest point moves
+    by the fraction ``1 / (100 N + t)`` of its offset (the harmonic
+    schedule sums to infinity while its squares stay summable).  Only the
+    points are tuned: the returned codebook has no weights and the report
+    no distortion, since a caller that needs either projects its own
+    sample.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    n, d = cb0.n_points, cb0.dim
-    if b is None:
-        b = 100.0 * n
-    pts = cb0.points.copy()
-    it = iter(sample_stream)
-    for t in range(1, steps + 1):
-        try:
-            xi = next(it)
-        except StopIteration:
-            log.warning("clvq stream exhausted after %d of %d steps", t - 1, steps)
-            break
-        xv = np.asarray(xi, dtype=float).reshape(d)
-        i = int(((pts - xv) ** 2).sum(axis=1).argmin())
-        pts[i] += (a / (b + t)) * (xv - pts[i])
-
     if steps == 0:
         return cb0, OptimizerReport(iterations=0, final_distortion=math.nan)
-
-    batch = []
-    for _ in range(holdout):
-        try:
-            batch.append(np.asarray(next(it), dtype=float).reshape(d))
-        except StopIteration:
-            break
-    weights = None
-    final = math.nan
-    residual = math.nan
-    if batch:
-        yb = np.asarray(batch)
-        cb_tmp = _view_codebook(pts)
-        idx = nearest_indices(yb, cb_tmp)
-        counts = np.bincount(idx, minlength=n)
-        weights = counts / counts.sum()
-        final = float(np.sqrt(_quadratic_error(yb, pts, idx).mean()))
-        nonzero = counts > 0
-        sums = np.zeros((n, d))
-        np.add.at(sums, idx, yb)
-        cents = sums[nonzero] / counts[nonzero, None]
-        residual = float(np.max(np.sqrt(((cents - pts[nonzero]) ** 2).sum(axis=1))))
-    report = OptimizerReport(
-        iterations=steps,
-        final_distortion=final,
-        distortion_history=[final] if not math.isnan(final) else [],
-        stationarity_residual=residual,
-        converged=True,
-    )
-    return Codebook(pts, weights), report
+    n, d = cb0.n_points, cb0.dim
+    pts = cb0.points.copy()
+    t = 0
+    for t, xi in enumerate(itertools.islice(sample_stream, steps), start=1):
+        xv = np.asarray(xi, dtype=float).reshape(d)
+        i = int(((pts - xv) ** 2).sum(axis=1).argmin())
+        pts[i] += (1.0 / (100.0 * n + t)) * (xv - pts[i])
+    if t < steps:
+        log.warning("clvq stream exhausted after %d of %d steps", t, steps)
+    report = OptimizerReport(iterations=t, final_distortion=math.nan,
+                             converged=True)
+    return Codebook(pts), report
 
 
 def _norm_pdf(x: np.ndarray) -> np.ndarray:
@@ -407,11 +356,10 @@ def newton_optimize_1d_normal(
             scale *= 0.5
         y = y - scale * step
         y = 0.5 * (y - y[::-1])  # keep the exact symmetry of the optimum
+    grad, mass, _ = gradient_and_cells(y)
     if not converged:
-        grad, mass, _ = gradient_and_cells(y)
         log.warning("newton_optimize_1d_normal(%d): |grad|=%.2e after %d iters",
                     n, float(np.max(np.abs(grad))), max_iter)
-    _, mass, _ = gradient_and_cells(y)
     return Codebook(y[:, None], mass)
 
 

@@ -1,4 +1,5 @@
 """Command-line integration tests: exit codes, formats, determinism."""
+import fcntl
 import functools
 import hashlib
 import json
@@ -188,13 +189,39 @@ class TestExitCodes:
         res = run_cli(["--config", str(cfg), "price"])
         assert res.exit_code == 4
 
+    @pytest.mark.parametrize("args,pricing", [
+        (["converge", "--nbar", "0"], {}),
+        (["converge", "--nbar", "500"], {}),
+        (["simulate", "--paths", "0"], {}),
+        (["--seed", "-3", "price"], {}),
+        (["price"], {"policy_seed": -2}),
+    ], ids=["nbar-zero", "nbar-over-samples", "paths-zero", "seed-negative",
+            "policy-seed-negative"])
+    def test_out_of_range_integers(self, tmp_path, args, pricing):
+        path = write_config(tmp_path, n_samples=2000)
+        doc = json.loads(path.read_text())
+        doc["pricing"].update(pricing)
+        path.write_text(json.dumps(doc))
+        res = run_cli(["--config", str(path)] + args)
+        assert res.exit_code == 2, res.output
+
     def test_locked_output_dir(self, tmp_path):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        with open(out / ".lock", "a") as holder:
+            fcntl.flock(holder, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            res = run_cli(["--config", str(cfg), "price"])
+        assert res.exit_code == 2
+
+    def test_leftover_lock_file_does_not_block(self, tmp_path):
+        # a crashed run leaves the file, but its lock died with it
         cfg = write_config(tmp_path)
         out = tmp_path / "out"
         out.mkdir()
         (out / ".lock").write_text("999")
         res = run_cli(["--config", str(cfg), "price"])
-        assert res.exit_code == 2
+        assert res.exit_code == 0, res.output
 
 
 class TestSurfaceCommand:

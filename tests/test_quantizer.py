@@ -63,7 +63,7 @@ class TestNearest:
 
     def test_batch_matches_scalar_1d_paths(self):
         rng = np.random.default_rng(3)
-        for n_pts in (5, 40):  # below and above the sorted-path threshold
+        for n_pts in (5, 40):  # small and large 1-D codebooks, one scan
             pts = np.sort(rng.normal(size=n_pts))
             cb = Codebook(pts[:, None])
             ys = rng.normal(size=500)[:, None]
@@ -80,15 +80,15 @@ class TestNearest:
         assert batch.tolist() == single
 
     def test_sorted_path_midpoint_tie(self):
-        # 20 points trigger the sorted path; exact midpoint resolves to the
-        # smaller original index exactly like the linear rule.
+        # a 1-D codebook of 20 points: the blocked scan resolves an exact
+        # midpoint to the smaller index, like nearest_index
         pts = np.arange(20.0)
         cb = Codebook(pts[:, None])
         assert nearest_indices(np.array([[3.5]]), cb).tolist() == [3]
 
     def test_sorted_path_tie_with_unsorted_points(self):
-        # descending original order: the midpoint tie must still resolve to
-        # the smallest original index, here the larger value
+        # descending points: the blocked scan still resolves a midpoint tie
+        # to the smallest index, here the larger value
         pts = np.arange(20.0)[::-1].copy()
         cb = Codebook(pts[:, None])
         got = nearest_indices(np.array([[3.5], [18.5]]), cb).tolist()
@@ -194,6 +194,20 @@ class TestLloyd:
             )
 
 
+    def test_capped_report_describes_the_returned_codebook(self):
+        rng = np.random.default_rng(19)
+        samples = rng.normal(size=(20_000, 2))
+        init = samples[rng.choice(len(samples), size=16, replace=False)]
+        cb, report = lloyd_optimize(samples, Codebook(init), max_iter=2)
+        assert not report.converged
+        idx = nearest_indices(samples, cb)
+        freq = np.bincount(idx, minlength=16) / len(samples)
+        np.testing.assert_allclose(cb.weights, freq, atol=1e-12)
+        assert report.final_distortion == pytest.approx(
+            distortion(samples, cb), rel=1e-12)
+        assert report.stationarity_residual > 0
+
+
 class TestClvq:
     def test_two_point_support(self):
         stream = itertools.cycle([np.array([-1.0]), np.array([1.0])])
@@ -215,7 +229,6 @@ class TestClvq:
         got = np.sort(cb.points[:, 0])
         assert abs(got[0] + ROOT_2_OVER_PI) < 0.05
         assert abs(got[1] - ROOT_2_OVER_PI) < 0.05
-        assert report.final_distortion > 0
 
 
 class TestNewtonNormal:

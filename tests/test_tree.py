@@ -302,6 +302,12 @@ class TestPolicy:
         for arr in policy.actions.values():
             assert set(np.unique(arr)).issubset({0, 1})
 
+    def test_rejects_a_table_for_other_bounds(self, small_tree):
+        _, table = quantized_dp_price(small_tree, gc(3, 7))
+        with pytest.raises(ValueError, match="bounds"):
+            extract_and_value_policy(small_tree, table, gc(2, 7),
+                                     n_paths=100, seed=12)
+
     def test_nonnegative_payoffs_saturate(self):
         params = make_params(n=8, strike=0.0)
         tree = build_tree(params, n_bar=10, n_samples=50_000, seed=13)
