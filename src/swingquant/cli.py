@@ -45,10 +45,12 @@ from .model import (
 )
 from .tree import (
     TRANSITION_SCHEME,
+    PolicyReplay,
     QuantTree,
     build_tree,
     extract_and_value_policy,
     load_tree,
+    policy_replay,
     premium_surface,
     quantized_dp_price,
     save_tree,
@@ -139,6 +141,7 @@ def load_config(path, seed_override=None, out_override=None) -> RunConfig:
         raise ConfigError("policy_paths must be >= 2")
     if optimizer not in ("lloyd", "clvq", "clvq-lloyd"):
         raise ConfigError(f"unknown optimizer {optimizer!r}")
+    _check_bounds(q_lo, q_hi)
 
     out_dir = Path(out_override) if out_override else Path(
         output.get("directory", "swingquant-out")
@@ -158,6 +161,12 @@ def _check_n_bar(n_bar: int, n_samples: int) -> None:
         raise ConfigError("N_bar must be >= 1")
     if n_samples < 10 * n_bar:
         raise ConfigError("n_samples must be at least 10 * N_bar")
+
+
+def _check_bounds(q_lo: float, q_hi: float) -> None:
+    """Reject NaN and infinite global bounds as configuration errors."""
+    if not (math.isfinite(q_lo) and math.isfinite(q_hi)):
+        raise ConfigError(f"global bounds ({q_lo}, {q_hi}) must be finite")
 
 
 @contextmanager
@@ -203,7 +212,8 @@ def ensure_tree(cfg: RunConfig) -> tuple[QuantTree, dict, dict]:
 
     Returns ``(tree, manifest, timings)``.  Artifacts live under
     ``<out>/cache/<key>`` and hold only what the key hashes (grids,
-    transitions, manifest).  A hit derives the payoffs from the configured
+    transitions, manifest), beside the policy replays of
+    :func:`ensure_replay`.  A hit derives the payoffs from the configured
     curves, and ``timings`` holds only ``load_seconds``.  An incomplete,
     damaged or mismatched cache directory is deleted and rebuilt.
     """
@@ -241,9 +251,44 @@ def ensure_tree(cfg: RunConfig) -> tuple[QuantTree, dict, dict]:
     return tree, manifest, timings
 
 
+def ensure_replay(cfg: RunConfig, tree: QuantTree,
+                  cache_dir: Path) -> tuple[PolicyReplay, dict]:
+    """Load or build the policy replay of the tree cached in ``cache_dir``.
+
+    The replay lives beside the tree, in
+    ``replay-<policy_seed>-<policy_paths>/`` (``nodes.npy`` and
+    ``factors.npy``), so it goes with the tree when that is rebuilt.  It
+    is written to a ``.partial`` sibling and published by a rename; an
+    entry that fails to load or does not fit the tree is deleted and
+    rebuilt.  Returns ``(replay, timings)``, with ``replay_load_seconds``
+    on a hit and ``replay_build_seconds`` otherwise.
+    """
+    entry = cache_dir / f"replay-{cfg.policy_seed}-{cfg.policy_paths}"
+    t0 = time.perf_counter()
+    if entry.is_dir():
+        try:
+            replay = PolicyReplay(np.load(entry / "nodes.npy"),
+                                  np.load(entry / "factors.npy"))
+            replay.check(tree, cfg.policy_paths)
+            return replay, {"replay_load_seconds": time.perf_counter() - t0}
+        except (OSError, EOFError, ValueError) as exc:
+            log.warning("replay %s rejected: %s; rebuilding", entry, exc)
+            shutil.rmtree(entry)
+    replay = policy_replay(tree, cfg.policy_paths, cfg.policy_seed)
+    partial = entry.with_name(entry.name + ".partial")
+    if partial.exists():  # left by an interrupted run
+        shutil.rmtree(partial)
+    partial.mkdir()
+    np.save(partial / "nodes.npy", replay.nodes)
+    np.save(partial / "factors.npy", replay.factors)
+    os.rename(partial, entry)
+    return replay, {"replay_build_seconds": time.perf_counter() - t0}
+
+
 def _constraints(cfg: RunConfig, q_lo, q_hi) -> GlobalConstraints:
     lo = cfg.q_lo if q_lo is None else float(q_lo)
     hi = cfg.q_hi if q_hi is None else float(q_hi)
+    _check_bounds(lo, hi)
     n = cfg.params.n
     hi = min(hi, float(n))  # a cap beyond the horizon can never bind
     if lo > n:
@@ -255,7 +300,7 @@ def _constraints(cfg: RunConfig, q_lo, q_hi) -> GlobalConstraints:
 
 def run_price(cfg: RunConfig, q_lo=None, q_hi=None, with_policy=True) -> dict:
     q = _constraints(cfg, q_lo, q_hi)
-    tree, _, timings = ensure_tree(cfg)
+    tree, manifest, timings = ensure_tree(cfg)
     report = {
         "Q_min": q.q_lo,
         "Q_max": q.q_hi,
@@ -270,9 +315,12 @@ def run_price(cfg: RunConfig, q_lo=None, q_hi=None, with_policy=True) -> dict:
         price, table = quantized_dp_price(tree, q)
         timings["dp_seconds"] = time.perf_counter() - t0
         if with_policy:
+            replay, replay_timings = ensure_replay(
+                cfg, tree, cfg.out_dir / "cache" / manifest["cache_key"])
+            timings.update(replay_timings)
             t0 = time.perf_counter()
             _, mc_value, std_err = extract_and_value_policy(
-                tree, table, q, cfg.policy_paths, cfg.policy_seed
+                tree, table, q, cfg.policy_paths, cfg.policy_seed, replay
             )
             timings["policy_seconds"] = time.perf_counter() - t0
             report["mc_policy_value"] = mc_value

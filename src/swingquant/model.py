@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -25,9 +26,12 @@ __all__ = [
     "variance_lambda",
     "factor_step",
     "factor_marginal_covariance",
+    "factor_states",
     "simulate_factor_paths",
     "spot_and_payoff",
     "spot_and_payoff_scaled",
+    "spot_factor",
+    "spot_and_payoff_of_factor",
     "black_call",
     "closed_form_strip",
     "DYNAMICS_FIELDS",
@@ -139,6 +143,48 @@ def _chol2(m: np.ndarray) -> np.ndarray:
     return np.array([[a, 0.0], [b, d]])
 
 
+def factor_states(
+    params: TwoFactorParams,
+    n_paths: int,
+    seed: int,
+    *,
+    antithetic: bool = False,
+) -> Iterator[np.ndarray]:
+    """Exact raw factor states at dates 0, 1, ..., n, one at a time.
+
+    Returns an iterator of one ``(n_paths, 2)`` array per date, starting
+    at (0, 0); the arguments are checked at the call.  The
+    innovations of step ``k`` are drawn only when the state of date
+    ``k + 1`` is requested, so a caller that stops early draws nothing
+    beyond what it read, and every state it did read is the same as in
+    the full run.  ``antithetic`` pairs every path with its sign mirror
+    (the second half of each block).  Fixed seeds give bit-identical
+    output.
+    """
+    if n_paths < 1:
+        raise ValueError("n_paths must be >= 1")
+    decay, cov = factor_step(params)
+    chol = _chol2(cov)
+    rng = np.random.default_rng(seed)
+    half = (n_paths + 1) // 2
+
+    def states():
+        state = np.zeros((n_paths, 2))
+        yield state
+        for _ in range(params.n):
+            # decay first, so a state the caller has dropped is freed
+            # before the innovations are drawn
+            state = state * decay
+            if antithetic:
+                e = rng.standard_normal((half, 2)) @ chol.T
+                state += np.concatenate([e, -e], axis=0)[:n_paths]
+            else:
+                state += rng.standard_normal((n_paths, 2)) @ chol.T
+            yield state
+
+    return states()
+
+
 def simulate_factor_paths(
     params: TwoFactorParams,
     n_paths: int,
@@ -149,8 +195,8 @@ def simulate_factor_paths(
 ) -> np.ndarray:
     """Exact factor paths, shape ``(n_paths, n+1, 2)``, starting at (0, 0).
 
-    ``antithetic`` pairs every path with its sign mirror (the second half
-    of the returned block).  ``standardize`` post-processes each date's
+    The states of :func:`factor_states` stacked, with ``antithetic`` as
+    there.  ``standardize`` post-processes each date's
     cross-section with an affine map making its sample mean exactly zero
     and its sample covariance exactly the closed-form marginal covariance;
     this removes the leading Monte-Carlo error of smooth functionals while
@@ -158,25 +204,13 @@ def simulate_factor_paths(
     leaving plain i.i.d. exact Gaussian sampling.  Fixed seeds give
     bit-identical output.
     """
-    if n_paths < 1:
-        raise ValueError("n_paths must be >= 1")
     if standardize and n_paths < 10:
         raise ValueError("standardize requires at least 10 paths")
     n = params.n
-    decay, cov = factor_step(params)
-    chol = _chol2(cov)
-    rng = np.random.default_rng(seed)
-
-    # innovations are drawn per step so peak memory stays at one path array
-    paths = np.zeros((n_paths, n + 1, 2))
-    half = (n_paths + 1) // 2
-    for k in range(n):
-        if antithetic:
-            e = rng.standard_normal((half, 2)) @ chol.T
-            eps_k = np.concatenate([e, -e], axis=0)[:n_paths]
-        else:
-            eps_k = rng.standard_normal((n_paths, 2)) @ chol.T
-        paths[:, k + 1, :] = paths[:, k, :] * decay + eps_k
+    paths = np.empty((n_paths, n + 1, 2))
+    states = factor_states(params, n_paths, seed, antithetic=antithetic)
+    for k in range(n + 1):
+        paths[:, k, :] = next(states)  # no name keeps the state alive
 
     if standardize:
         for k in range(1, n + 1):
@@ -192,6 +226,13 @@ def simulate_factor_paths(
     return paths
 
 
+def _date_time(params: TwoFactorParams, k: int) -> float:
+    """``t_k`` of a date index, which must lie in ``0 .. n - 1``."""
+    if not 0 <= k <= params.n - 1:
+        raise ValueError(f"date index {k} outside 0..{params.n - 1}")
+    return k * params.dt
+
+
 def spot_and_payoff(params: TwoFactorParams, k: int, y):
     """Spot and discounted payoff at date ``k`` from raw factor state(s).
 
@@ -199,8 +240,6 @@ def spot_and_payoff(params: TwoFactorParams, k: int, y):
     Returns ``(spot, payoff)`` where ``payoff = exp(-r t_k) * (spot - K_k)``
     is already discounted to time zero.
     """
-    if not 0 <= k <= params.n - 1:
-        raise ValueError(f"date index {k} outside 0..{params.n - 1}")
     y = np.asarray(y, dtype=float)
     z = y * params.vols
     return spot_and_payoff_scaled(params, k, z)
@@ -212,13 +251,26 @@ def spot_and_payoff_scaled(params: TwoFactorParams, k: int, z):
     ``z = (sigma1*x1, sigma2*x2)`` is the state the quantized tree stores;
     the log-spot exponent is its coordinate sum.
     """
-    if not 0 <= k <= params.n - 1:
-        raise ValueError(f"date index {k} outside 0..{params.n - 1}")
+    return spot_and_payoff_of_factor(params, k, spot_factor(params, k, z))
+
+
+def spot_factor(params: TwoFactorParams, k: int, z):
+    """Spot over forward at date ``k``: ``exp(z1 + z2 - lambda(t_k) / 2)``.
+
+    ``z`` is a volatility-scaled state (pair) or an array with trailing
+    axis 2.  The factor depends on the dynamics alone, not on the curves
+    or the rate.
+    """
     z = np.asarray(z, dtype=float)
-    t_k = k * params.dt
-    lam = variance_lambda(params, t_k)
+    lam = variance_lambda(params, _date_time(params, k))
     expo = z[..., 0] + z[..., 1]
-    spot = params.forward[k] * np.exp(expo - 0.5 * lam)
+    return np.exp(expo - 0.5 * lam)
+
+
+def spot_and_payoff_of_factor(params: TwoFactorParams, k: int, factor):
+    """Spot ``F_k * factor`` and its discounted payoff at date ``k``."""
+    t_k = _date_time(params, k)
+    spot = params.forward[k] * factor
     payoff = math.exp(-params.r * t_k) * (spot - params.strikes[k])
     if spot.ndim == 0:
         return float(spot), float(payoff)

@@ -57,7 +57,10 @@ class Codebook:
             raise ValueError("points must form a non-empty (N, d) array")
         if not np.all(np.isfinite(pts)):
             raise ValueError("non-finite codebook point")
-        if len(np.unique(pts, axis=0)) != len(pts):
+        # equal rows are adjacent once sorted; a lexsort of a few points
+        # is several times cheaper than np.unique(axis=0)
+        ordered = pts[np.lexsort(pts.T)]
+        if np.any(np.all(ordered[1:] == ordered[:-1], axis=1)):
             raise ValueError("codebook points must be pairwise distinct")
         pts = pts.copy()
         pts.setflags(write=False)

@@ -29,9 +29,11 @@ from .contracts import GlobalConstraints, PremiumSurface, integer_vertices
 from .model import (
     TwoFactorParams,
     dynamics_to_dict,
+    factor_states,
     simulate_factor_paths,
-    spot_and_payoff,
+    spot_and_payoff_of_factor,
     spot_and_payoff_scaled,
+    spot_factor,
 )
 from .quantizer import (
     Codebook,
@@ -47,11 +49,13 @@ __all__ = [
     "QuantTree",
     "DPTable",
     "Policy",
+    "PolicyReplay",
     "build_grids",
     "estimate_transitions",
     "build_tree",
     "quantized_dp_price",
     "premium_surface",
+    "policy_replay",
     "extract_and_value_policy",
     "save_tree",
     "load_tree",
@@ -482,21 +486,74 @@ def premium_surface(tree: QuantTree) -> PremiumSurface:
                                                prices.tolist())))
 
 
+@dataclass(frozen=True)
+class PolicyReplay:
+    """The part of a policy valuation that no bound depends on.
+
+    For each date ``k`` in ``0 .. n - 1`` and each replay path,
+    ``nodes[k]`` holds the path's nearest node on grid ``k`` (the smallest
+    unsigned dtype that holds the widest grid) and ``factors[k]`` its unit
+    spot factor (:func:`~swingquant.model.spot_factor`).  Both follow from
+    the tree's dynamics and grids and the replay's seed and path count
+    alone, so one replay serves every bound pair and every curve.
+    """
+
+    nodes: np.ndarray
+    factors: np.ndarray
+
+    def check(self, tree: QuantTree, n_paths: int) -> None:
+        """Raise ``ValueError`` unless this replay fits ``tree``."""
+        shape = (tree.n, n_paths)
+        if self.nodes.shape != shape or self.factors.shape != shape:
+            raise ValueError(f"replay arrays {self.nodes.shape} and "
+                             f"{self.factors.shape}, want {shape}")
+        if self.nodes.dtype.kind != "u" or self.factors.dtype != np.float64:
+            raise ValueError(f"replay dtypes {self.nodes.dtype} and "
+                             f"{self.factors.dtype}, want unsigned and float64")
+        widths = np.array([g.n_points for g in tree.grids])
+        if np.any(self.nodes.max(axis=1) >= widths):
+            raise ValueError("replay node beyond its grid")
+
+
+def policy_replay(tree: QuantTree, n_paths: int, seed: int) -> PolicyReplay:
+    """Simulate ``n_paths`` exact-model paths and keep what a valuation reads.
+
+    Streams the paths date by date (:func:`~swingquant.model.factor_states`,
+    plain i.i.d. sampling) and stops at date ``n - 1``, so no path array
+    is held.
+    """
+    params = tree.params
+    n = tree.n
+    widest = max(g.n_points for g in tree.grids)
+    nodes = np.empty((n, n_paths), dtype=np.min_scalar_type(widest - 1))
+    factors = np.empty((n, n_paths))
+    for k, state in zip(range(n), factor_states(params, n_paths, seed)):
+        z = state * params.vols
+        nodes[k] = nearest_indices(z, tree.grids[k])
+        factors[k] = spot_factor(params, k, z)
+    return PolicyReplay(nodes, factors)
+
+
 def extract_and_value_policy(
     tree: QuantTree,
     table: DPTable,
     q0: GlobalConstraints,
     n_paths: int,
     seed: int,
+    replay: PolicyReplay | None = None,
 ) -> tuple[Policy, float, float]:
     """Price the bang-bang policy of a value table by simulation.
 
     The policy is the one :func:`quantized_dp_price` stored in ``table``
-    for the same bounds ``q0``.  Valuation runs on fresh exact-model paths
-    with an independent seed: states are projected to the grids only to
-    look up decisions, payoffs come from the exact states.  Every
-    simulated schedule satisfies the global bounds; a violation would mean
-    the purchase-count bookkeeping is broken and raises immediately.
+    for the same bounds ``q0``.  Valuation runs on exact-model paths with
+    an independent ``seed``: states are projected to the grids only to
+    look up decisions, payoffs come from the exact states.  Those paths
+    are the ``replay`` of :func:`policy_replay` for ``(tree, n_paths,
+    seed)``; without one it is simulated here.  What is left per call is
+    a gather of the purchases and the payoffs of the tree's curves, so a
+    cached replay gives the same value and error bit for bit.  Every
+    simulated schedule satisfies the global bounds; a violation would
+    mean the purchase-count bookkeeping is broken and raises immediately.
 
     Returns ``(policy, mc_value, std_err)``.
     """
@@ -506,15 +563,15 @@ def extract_and_value_policy(
     if policy.q0 != q0:
         raise ValueError(f"the table holds bounds {policy.q0.as_tuple()}, "
                          f"not {q0.as_tuple()}")
+    if replay is None:
+        replay = policy_replay(tree, n_paths, seed)
+    replay.check(tree, n_paths)
 
-    paths = simulate_factor_paths(tree.params, n_paths, seed)
     bought = np.zeros(n_paths, dtype=np.int64)
     value = np.zeros(n_paths)
     for k in range(n):
-        z = _scaled_states(tree.params, paths, k)
-        node = nearest_indices(z, tree.grids[k])
-        _, pay = spot_and_payoff(tree.params, k, paths[:, k, :])
-        acts = policy.buy[k][bought - policy.l_min[k], node]
+        _, pay = spot_and_payoff_of_factor(tree.params, k, replay.factors[k])
+        acts = policy.buy[k][bought - policy.l_min[k], replay.nodes[k]]
         value += acts * pay
         bought += acts
     if not ((bought >= q0.q_lo) & (bought <= q0.q_hi)).all():
@@ -568,8 +625,10 @@ def load_tree(directory, params: TwoFactorParams) -> tuple[QuantTree, dict]:
                          f"the saved tree's {manifest.get('model')}")
     n = params.n
     grids = [load_codebook_csv(directory / f"grid_{k:03d}.csv") for k in range(n)]
-    transitions = [
-        np.loadtxt(directory / f"transition_{k:03d}.csv", delimiter=",", ndmin=2)
-        for k in range(n - 1)
-    ]
+    transitions = []
+    for k in range(n - 1):
+        # an open handle spares np.loadtxt its path handling, a third of
+        # the load time of a small matrix
+        with open(directory / f"transition_{k:03d}.csv") as fh:
+            transitions.append(np.loadtxt(fh, delimiter=",", ndmin=2))
     return QuantTree(params, grids, transitions, _payoffs(params, grids)), manifest

@@ -5,12 +5,14 @@ import hashlib
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -29,6 +31,7 @@ from swingquant.contracts import (
     PremiumSurface,
     interpolate_on_tile,
 )
+from swingquant.model import simulate_factor_paths, spot_and_payoff
 from swingquant.oracle import price_lattice_dp
 from swingquant.quantizer import nearest_indices
 from swingquant.tree import load_tree, quantized_dp_price
@@ -178,6 +181,20 @@ class TestExitCodes:
                        "--qmax", "1"])
         assert res.exit_code == 3
 
+    @pytest.mark.parametrize("args,pricing,code", [
+        (["price", "--qmin", "nan"], {}, 2),
+        (["price", "--qmax", "inf"], {}, 2),
+        (["price"], {"Q_min": "nan"}, 2),
+        (["price", "--qmin", "5"], {}, 3),  # finite, beyond 3 dates
+    ], ids=["qmin-nan", "qmax-inf", "config-qmin-nan", "floor-past-horizon"])
+    def test_non_finite_bounds(self, tmp_path, args, pricing, code):
+        path = write_config(tmp_path)
+        doc = json.loads(path.read_text())
+        doc["pricing"].update(pricing)
+        path.write_text(json.dumps(doc))
+        res = run_cli(["--config", str(path)] + args)
+        assert res.exit_code == code, res.output
+
     def test_numerical_failure(self, tmp_path, monkeypatch):
         import swingquant.cli as climod
 
@@ -320,10 +337,11 @@ class TestDeterminism:
     @pytest.mark.parametrize("optimizer", ["lloyd", "clvq", "clvq-lloyd"])
     def test_cache_bytes_ignore_threads_and_block(self, tmp_path, monkeypatch,
                                                   optimizer):
-        # one tree built with 1 and 2 BLAS threads in a fresh interpreter,
-        # and in-process with another projection block size
+        # one tree and its policy replay built with 1 and 2 BLAS threads in
+        # a fresh interpreter, and in-process with another projection block
+        # size
         path = write_config(tmp_path, n=5, sigma1=0.36, sigma2=1.11, n_bar=6,
-                            n_samples=20_000)
+                            n_samples=20_000, policy_paths=20_000)
         doc = json.loads(path.read_text())
         doc["pricing"]["optimizer"] = optimizer
         path.write_text(json.dumps(doc))
@@ -335,7 +353,7 @@ class TestDeterminism:
                        OPENBLAS_NUM_THREADS=threads)
             res = subprocess.run(
                 [sys.executable, "-m", "swingquant.cli", "--config", str(path),
-                 "--out", str(out), "grids"],
+                 "--out", str(out), "price"],
                 env=env, capture_output=True, text=True, timeout=300)
             assert res.returncode == 0, res.stderr
             digests.append(cache_digests(out))
@@ -343,12 +361,13 @@ class TestDeterminism:
         monkeypatch.setattr(tree, "nearest_indices", blocked)
         monkeypatch.setattr(quantizer, "nearest_indices", blocked)
         out = tmp_path / "block97"
-        res = run_cli(["--config", str(path), "--out", str(out), "grids"])
+        res = run_cli(["--config", str(path), "--out", str(out), "price"])
         assert res.exit_code == 0, res.output
         digests.append(cache_digests(out))
         assert digests[0] == digests[1] == digests[2]
-        # one cache directory: 5 grids, 4 transitions, manifest
-        assert len(digests[0]) == 10
+        # one cache directory: 5 grids, 4 transitions, manifest, and the
+        # policy replay's two arrays
+        assert len(digests[0]) == 12
 
 
 class TestTreeCache:
@@ -477,6 +496,119 @@ class TestTreeCache:
                          | {"manifest.json"})
         _, again, timings = ensure_tree(cfg)
         assert again == manifest and "load_seconds" in timings
+
+
+def reference_policy_value(cfg, q):
+    """``(mc_policy_value, std_err)`` by the whole-path replay loop."""
+    tree, _ = load_tree(cfg.out_dir / "cache" / tree_cache_key(cfg),
+                        cfg.params)
+    _, table = quantized_dp_price(tree, q)
+    policy, params, n_paths = table.policy, cfg.params, cfg.policy_paths
+    paths = simulate_factor_paths(params, n_paths, cfg.policy_seed)
+    bought = np.zeros(n_paths, dtype=np.int64)
+    value = np.zeros(n_paths)
+    for k in range(params.n):
+        node = nearest_indices(paths[:, k, :] * params.vols, tree.grids[k])
+        _, pay = spot_and_payoff(params, k, paths[:, k, :])
+        acts = policy.buy[k][bought - policy.l_min[k], node]
+        value += acts * pay
+        bought += acts
+    return float(value.mean()), float(value.std(ddof=1) / math.sqrt(n_paths))
+
+
+class TestPolicyReplay:
+    """The replay cached beside the tree: ``replay-<seed>-<paths>/``."""
+
+    def config(self, tmp_path, **kwargs):
+        kw = dict(sigma1=0.36, sigma2=1.11, n=6, n_bar=4, n_samples=2000,
+                  q=(2.0, 4.0), policy_paths=3000, r=0.02,
+                  forward=[20.0, 21.5, 19.25, 20.125, 22.0, 18.5])
+        kw.update(kwargs)
+        return write_config(tmp_path, **kw)
+
+    def price(self, path):
+        res = run_cli(["--config", str(path), "price"])
+        assert res.exit_code == 0, res.output
+        return json.loads(res.output)
+
+    def entries(self, path):
+        cfg = load_config(path)
+        cache = cfg.out_dir / "cache" / tree_cache_key(cfg)
+        return sorted(p.name for p in cache.iterdir() if p.is_dir())
+
+    def test_cached_and_fresh_replays_match_the_reference_loop(self, tmp_path):
+        path = self.config(tmp_path)
+        fresh, cached = self.price(path), self.price(path)
+        assert "replay_build_seconds" in fresh["timings"]
+        assert "replay_load_seconds" in cached["timings"]
+        want = reference_policy_value(load_config(path), GlobalConstraints(2, 4))
+        for report in (fresh, cached):
+            assert (report["mc_policy_value"], report["std_err"]) == want
+        assert self.entries(path) == ["replay-8-3000"]
+
+    def test_no_replay_without_an_integer_policy_quote(self, tmp_path):
+        path = self.config(tmp_path)
+        for args in (["price", "--no-policy"], ["price", "--qmax", "4.5"],
+                     ["surface"]):
+            assert run_cli(["--config", str(path)] + args).exit_code == 0
+        assert self.entries(path) == []
+
+    def test_interrupted_write_is_not_trusted(self, tmp_path, monkeypatch):
+        path = self.config(tmp_path)
+        want = self.price(path)
+        cfg = load_config(path)
+        shutil.rmtree(cfg.out_dir)
+        save = np.save
+
+        def interrupted(file, arr, *args, **kwargs):
+            if Path(file).name == "factors.npy":
+                save(file, arr[: len(arr) // 2], *args, **kwargs)
+                raise KeyboardInterrupt
+            return save(file, arr, *args, **kwargs)
+
+        monkeypatch.setattr(np, "save", interrupted)
+        res = run_cli(["--config", str(path), "price"])
+        monkeypatch.undo()
+        assert res.exit_code == 1 and "Aborted" in res.output
+        assert self.entries(path) == ["replay-8-3000.partial"]
+        again = self.price(path)
+        assert "replay_build_seconds" in again["timings"]
+        assert self.entries(path) == ["replay-8-3000"]
+        for field in ("price", "mc_policy_value", "std_err"):
+            assert again[field] == want[field], field
+
+    @pytest.mark.parametrize("name", ["nodes.npy", "factors.npy"])
+    def test_truncated_array_is_rebuilt(self, tmp_path, name):
+        path = self.config(tmp_path)
+        want = self.price(path)
+        cfg = load_config(path)
+        npy = (cfg.out_dir / "cache" / tree_cache_key(cfg) / "replay-8-3000"
+               / name)
+        blob = npy.read_bytes()
+        npy.write_bytes(blob[: len(blob) // 2])
+        again = self.price(path)
+        assert "replay_build_seconds" in again["timings"]
+        assert "load_seconds" in again["timings"]  # the tree was a hit
+        assert npy.read_bytes() == blob
+        for field in ("mc_policy_value", "std_err"):
+            assert again[field] == want[field], field
+
+    def test_seed_and_path_count_key_the_entry(self, tmp_path):
+        path = self.config(tmp_path)
+        first = self.price(path)
+        reports = [first]
+        for pricing in ({"policy_seed": 9}, {"policy_paths": 2000}):
+            doc = json.loads(path.read_text())
+            doc["pricing"].update(pricing)
+            path.write_text(json.dumps(doc))
+            report = self.price(path)
+            assert "build_tree_seconds" not in report["timings"]
+            assert "replay_build_seconds" in report["timings"]
+            assert report["price"] == first["price"]
+            reports.append(report)
+        assert self.entries(path) == ["replay-8-3000", "replay-9-2000",
+                                      "replay-9-3000"]
+        assert len({r["mc_policy_value"] for r in reports}) == 3
 
 
 class TestAuxCommands:

@@ -10,6 +10,7 @@ from swingquant.model import (
     black_call,
     closed_form_strip,
     factor_marginal_covariance,
+    factor_states,
     factor_step,
     params_from_dict,
     simulate_factor_paths,
@@ -95,6 +96,19 @@ class TestSimulation:
             sample = g.var()
             se = lam * math.sqrt(2.0 / len(g))
             assert abs(sample - lam) < 3 * se, (k, sample, lam)
+
+    @pytest.mark.parametrize("antithetic", [False, True])
+    def test_factor_states_are_the_paths(self, antithetic):
+        p = make_params(n=6)
+        paths = simulate_factor_paths(p, 301, seed=5, antithetic=antithetic)
+        states = list(factor_states(p, 301, seed=5, antithetic=antithetic))
+        assert len(states) == p.n + 1
+        for k, state in enumerate(states):
+            assert np.array_equal(state, paths[:, k, :]), k
+        # a consumer that stops early reads the same leading states
+        early = factor_states(p, 301, seed=5, antithetic=antithetic)
+        for k, state in zip(range(3), early):
+            assert np.array_equal(state, paths[:, k, :]), k
 
     def test_antithetic_mirrors(self):
         p = make_params(n=4)
