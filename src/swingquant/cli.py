@@ -37,6 +37,7 @@ from .contracts import (
 )
 from .model import (
     TwoFactorParams,
+    as_integer,
     closed_form_strip,
     dynamics_to_dict,
     params_from_dict,
@@ -44,6 +45,8 @@ from .model import (
     spot_and_payoff,
 )
 from .tree import (
+    DEFAULT_OPTIMIZER,
+    OPTIMIZERS,
     TRANSITION_SCHEME,
     PolicyReplay,
     QuantTree,
@@ -64,6 +67,10 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 EXIT_NUMERICAL = 4
+
+# What loading a damaged tree or replay entry raises: a missing or
+# truncated file, or a manifest or array that does not parse or fit.
+DAMAGED_ENTRY = (OSError, EOFError, ValueError)
 
 PRICE_REPORT_SCHEMA = {
     "type": "object",
@@ -124,14 +131,17 @@ def load_config(path, seed_override=None, out_override=None) -> RunConfig:
     pricing = doc.get("pricing", {})
     output = doc.get("output", {})
     try:
-        n_bar = int(pricing.get("N_bar", 100))
-        n_samples = int(pricing.get("n_samples", 200_000))
-        seed = int(pricing.get("seed", 0)) if seed_override is None else int(seed_override)
-        policy_paths = int(pricing.get("policy_paths", 10_000))
-        policy_seed = int(pricing.get("policy_seed", seed + 1))
+        n_bar = as_integer(pricing.get("N_bar", 100), "N_bar")
+        n_samples = as_integer(pricing.get("n_samples", 200_000), "n_samples")
+        seed = as_integer(pricing.get("seed", 0) if seed_override is None
+                          else seed_override, "seed")
+        policy_paths = as_integer(pricing.get("policy_paths", 10_000),
+                                  "policy_paths")
+        policy_seed = as_integer(pricing.get("policy_seed", seed + 1),
+                                 "policy_seed")
         q_lo = float(pricing.get("Q_min", 0.0))
         q_hi = float(pricing.get("Q_max", params.n))
-        optimizer = str(pricing.get("optimizer", "clvq-lloyd"))
+        optimizer = str(pricing.get("optimizer", DEFAULT_OPTIMIZER))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad pricing section: {exc}") from exc
     _check_n_bar(n_bar, n_samples)
@@ -139,7 +149,7 @@ def load_config(path, seed_override=None, out_override=None) -> RunConfig:
         raise ConfigError("seeds must be >= 0")
     if policy_paths < 2:
         raise ConfigError("policy_paths must be >= 2")
-    if optimizer not in ("lloyd", "clvq", "clvq-lloyd"):
+    if optimizer not in OPTIMIZERS:
         raise ConfigError(f"unknown optimizer {optimizer!r}")
     _check_bounds(q_lo, q_hi)
 
@@ -214,8 +224,10 @@ def ensure_tree(cfg: RunConfig) -> tuple[QuantTree, dict, dict]:
     ``<out>/cache/<key>`` and hold only what the key hashes (grids,
     transitions, manifest), beside the policy replays of
     :func:`ensure_replay`.  A hit derives the payoffs from the configured
-    curves, and ``timings`` holds only ``load_seconds``.  An incomplete,
-    damaged or mismatched cache directory is deleted and rebuilt.
+    curves, and ``timings`` holds only ``load_seconds``.  A directory
+    without a manifest, whose load raises a :data:`DAMAGED_ENTRY` error
+    (a missing or truncated file, a damaged manifest, other dynamics) or
+    whose key differs is deleted and rebuilt.
     """
     key = tree_cache_key(cfg)
     cache_dir = cfg.out_dir / "cache" / key
@@ -226,7 +238,7 @@ def ensure_tree(cfg: RunConfig) -> tuple[QuantTree, dict, dict]:
             if manifest.get("cache_key") == key:
                 log.info("cache hit: %s", cache_dir)
                 return tree, manifest, {"load_seconds": time.perf_counter() - t0}
-        except ValueError as exc:  # other dynamics, or a damaged artifact
+        except DAMAGED_ENTRY as exc:
             log.warning("cache %s rejected: %s", cache_dir, exc)
     if cache_dir.exists():
         log.warning("cache %s is incomplete or stale; rebuilding", cache_dir)
@@ -271,7 +283,7 @@ def ensure_replay(cfg: RunConfig, tree: QuantTree,
                                   np.load(entry / "factors.npy"))
             replay.check(tree, cfg.policy_paths)
             return replay, {"replay_load_seconds": time.perf_counter() - t0}
-        except (OSError, EOFError, ValueError) as exc:
+        except DAMAGED_ENTRY as exc:
             log.warning("replay %s rejected: %s; rebuilding", entry, exc)
             shutil.rmtree(entry)
     replay = policy_replay(tree, cfg.policy_paths, cfg.policy_seed)
@@ -383,8 +395,9 @@ def run_converge(cfg: RunConfig, n_bars: list[int]) -> tuple[Path, list[dict]]:
             "abs_error_vs_oracle": abs(price - target),
             "wall_seconds": wall,
         })
-    slope = math.nan
-    if len(rows) >= 2 and all(r["abs_error_vs_oracle"] > 0 for r in rows):
+    slope = math.nan  # a fit needs two distinct grid sizes
+    if (len(set(n_bars)) >= 2
+            and all(r["abs_error_vs_oracle"] > 0 for r in rows)):
         xs = np.log([r["N_bar"] for r in rows])
         ys = np.log([r["abs_error_vs_oracle"] for r in rows])
         slope = float(np.polyfit(xs, ys, 1)[0])
@@ -415,23 +428,6 @@ def run_simulate(cfg: RunConfig, n_paths: int) -> Path:
     return out
 
 
-def _set_threads(threads: int | None) -> None:
-    if threads is None:
-        return
-    # Best effort: BLAS pools are sized at load time, so environment hints
-    # only help subprocesses; threadpoolctl adjusts the live process when
-    # available.
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = str(threads)
-    try:
-        import threadpoolctl
-
-        threadpoolctl.threadpool_limits(threads)
-    except ImportError:
-        log.debug("threadpoolctl unavailable; thread cap applies to "
-                  "subprocesses only")
-
-
 def _dispatch(ctx: click.Context, fn) -> None:
     """Run a command body with the documented exit-code mapping."""
     try:
@@ -460,14 +456,11 @@ def _dispatch(ctx: click.Context, fn) -> None:
               help="Override the pipeline seed from the config.")
 @click.option("--out", type=click.Path(), default=None,
               help="Override the output directory from the config.")
-@click.option("--threads", type=int, default=None,
-              help="Best-effort cap on numeric library threads.")
 @click.pass_context
-def main(ctx, config, seed, out, threads):
+def main(ctx, config, seed, out):
     """Swing option pricing by quantized backward dynamic programming."""
     logging.basicConfig(level=logging.INFO, stream=sys.stderr,
                         format="%(levelname)s %(name)s: %(message)s")
-    _set_threads(threads)
     if config is None:
         config = os.environ.get(CONFIG_ENV_VAR) or None
     if config is None:

@@ -29,13 +29,13 @@ __all__ = [
     "factor_states",
     "simulate_factor_paths",
     "spot_and_payoff",
-    "spot_and_payoff_scaled",
     "spot_factor",
     "spot_and_payoff_of_factor",
     "black_call",
     "closed_form_strip",
     "DYNAMICS_FIELDS",
     "dynamics_to_dict",
+    "as_integer",
     "params_from_dict",
 ]
 
@@ -240,26 +240,16 @@ def spot_and_payoff(params: TwoFactorParams, k: int, y):
     Returns ``(spot, payoff)`` where ``payoff = exp(-r t_k) * (spot - K_k)``
     is already discounted to time zero.
     """
-    y = np.asarray(y, dtype=float)
-    z = y * params.vols
-    return spot_and_payoff_scaled(params, k, z)
-
-
-def spot_and_payoff_scaled(params: TwoFactorParams, k: int, z):
-    """Same as :func:`spot_and_payoff` for volatility-scaled states.
-
-    ``z = (sigma1*x1, sigma2*x2)`` is the state the quantized tree stores;
-    the log-spot exponent is its coordinate sum.
-    """
+    z = np.asarray(y, dtype=float) * params.vols
     return spot_and_payoff_of_factor(params, k, spot_factor(params, k, z))
 
 
 def spot_factor(params: TwoFactorParams, k: int, z):
     """Spot over forward at date ``k``: ``exp(z1 + z2 - lambda(t_k) / 2)``.
 
-    ``z`` is a volatility-scaled state (pair) or an array with trailing
-    axis 2.  The factor depends on the dynamics alone, not on the curves
-    or the rate.
+    ``z = (sigma1*x1, sigma2*x2)`` is a volatility-scaled state (pair), as
+    the quantized tree stores it, or an array with trailing axis 2.  The
+    factor depends on the dynamics alone, not on the curves or the rate.
     """
     z = np.asarray(z, dtype=float)
     lam = variance_lambda(params, _date_time(params, k))
@@ -341,6 +331,18 @@ def dynamics_to_dict(params: TwoFactorParams) -> dict:
     return {name: getattr(params, name) for name in DYNAMICS_FIELDS}
 
 
+def as_integer(value, name: str) -> int:
+    """``int(value)`` for a configured count or seed.
+
+    Booleans and numbers with a fractional part raise ``ValueError``
+    instead of being truncated; integral floats such as ``1e6`` convert.
+    """
+    if isinstance(value, bool) or (isinstance(value, float)
+                                   and not value.is_integer()):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def params_from_dict(doc: dict, base_dir=".") -> TwoFactorParams:
     """Build parameters from a key-value document.
 
@@ -355,7 +357,7 @@ def params_from_dict(doc: dict, base_dir=".") -> TwoFactorParams:
     missing = [key for key in required if key not in doc]
     if missing:
         raise KeyError(f"model config missing fields: {', '.join(missing)}")
-    n = int(doc["n"])
+    n = as_integer(doc["n"], "n")
     return TwoFactorParams(
         alpha1=float(doc["alpha1"]),
         alpha2=float(doc["alpha2"]),

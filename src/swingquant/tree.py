@@ -32,7 +32,6 @@ from .model import (
     factor_states,
     simulate_factor_paths,
     spot_and_payoff_of_factor,
-    spot_and_payoff_scaled,
     spot_factor,
 )
 from .quantizer import (
@@ -65,6 +64,8 @@ log = logging.getLogger(__name__)
 
 _ROW_TOL = 1e-9
 TRANSITION_SCHEME = "joint-path-counting"
+OPTIMIZERS = ("lloyd", "clvq", "clvq-lloyd")
+DEFAULT_OPTIMIZER = "clvq-lloyd"
 
 
 @dataclass
@@ -182,7 +183,7 @@ def build_grids(
     paths: np.ndarray,
     n_bar: int,
     seed: int,
-    optimizer: str = "clvq-lloyd",
+    optimizer: str = DEFAULT_OPTIMIZER,
     *,
     max_fit_samples: int = 50_000,
 ) -> list[Codebook]:
@@ -204,7 +205,7 @@ def build_grids(
         raise ValueError("n_bar must be >= 1")
     if len(paths) < 10 * n_bar:
         raise ValueError("n_samples must be at least 10 * n_bar")
-    if optimizer not in ("lloyd", "clvq", "clvq-lloyd"):
+    if optimizer not in OPTIMIZERS:
         raise ValueError(f"unknown optimizer {optimizer!r}")
     rng = np.random.default_rng(seed ^ 0x9E3779B97F4A7C15)
 
@@ -231,7 +232,7 @@ def build_grids(
             uniq = np.unique(fit, axis=0)
             picks = rng.choice(len(uniq), size=n_bar, replace=False)
             init = uniq[np.sort(picks)]
-        if optimizer in ("clvq", "clvq-lloyd"):
+        if optimizer != "lloyd":
             steps = _CLVQ_STEPS_PER_POINT * n_bar
             order = rng.permutation(len(fit))[:steps]
             seeded, _ = clvq_optimize(
@@ -290,7 +291,7 @@ def build_tree(
     n_bar: int,
     n_samples: int,
     seed: int,
-    optimizer: str = "clvq-lloyd",
+    optimizer: str = DEFAULT_OPTIMIZER,
     *,
     max_fit_samples: int = 50_000,
 ) -> QuantTree:
@@ -338,8 +339,7 @@ def _payoffs(params: TwoFactorParams, grids: list[Codebook]) -> list[np.ndarray]
     """
     payoffs = []
     for k in range(params.n):
-        spot, _ = spot_and_payoff_scaled(params, k, grids[k].points)
-        spot = np.atleast_1d(spot)
+        spot = params.forward[k] * spot_factor(params, k, grids[k].points)
         spot = spot * (params.forward[k] / float(grids[k].weights @ spot))
         discount = math.exp(-params.r * k * params.dt)
         payoffs.append(discount * (spot - params.strikes[k]))
@@ -616,13 +616,14 @@ def load_tree(directory, params: TwoFactorParams) -> tuple[QuantTree, dict]:
 
     Reads the grids and transitions and derives the payoffs of ``params``
     as :func:`build_tree` does.  Raises ``ValueError`` if ``params`` has
-    other dynamics than the saved tree.  Returns ``(tree, manifest)``.
+    other dynamics than the saved tree, or the manifest is no JSON object.  Returns ``(tree, manifest)``.
     """
     directory = Path(directory)
     manifest = json.loads((directory / "manifest.json").read_text())
-    if manifest.get("model") != dynamics_to_dict(params):
+    saved = manifest.get("model") if isinstance(manifest, dict) else None
+    if saved != dynamics_to_dict(params):
         raise ValueError(f"dynamics {dynamics_to_dict(params)} differ from "
-                         f"the saved tree's {manifest.get('model')}")
+                         f"the saved tree's {saved}")
     n = params.n
     grids = [load_codebook_csv(directory / f"grid_{k:03d}.csv") for k in range(n)]
     transitions = []

@@ -206,21 +206,47 @@ class TestExitCodes:
         res = run_cli(["--config", str(cfg), "price"])
         assert res.exit_code == 4
 
-    @pytest.mark.parametrize("args,pricing", [
+    @pytest.mark.parametrize("args,fields", [
         (["converge", "--nbar", "0"], {}),
         (["converge", "--nbar", "500"], {}),
         (["simulate", "--paths", "0"], {}),
         (["--seed", "-3", "price"], {}),
         (["price"], {"policy_seed": -2}),
+        (["price"], {"N_bar": 3.7}),
+        (["price"], {"N_bar": True}),
+        (["price"], {"n_samples": 2000.5}),
+        (["price"], {"seed": 7.5}),
+        (["price"], {"policy_paths": 50.5}),
+        (["price"], {"policy_seed": 8.5}),
+        (["price"], {"n": 4.5}),
+        (["price"], {"n": True}),
     ], ids=["nbar-zero", "nbar-over-samples", "paths-zero", "seed-negative",
-            "policy-seed-negative"])
-    def test_out_of_range_integers(self, tmp_path, args, pricing):
+            "policy-seed-negative", "nbar-fraction", "nbar-bool",
+            "samples-fraction", "seed-fraction", "policy-paths-fraction",
+            "policy-seed-fraction", "n-fraction", "n-bool"])
+    def test_out_of_range_integers(self, tmp_path, args, fields):
         path = write_config(tmp_path, n_samples=2000)
         doc = json.loads(path.read_text())
-        doc["pricing"].update(pricing)
+        for field, value in fields.items():
+            doc["model" if field in doc["model"] else "pricing"][field] = value
         path.write_text(json.dumps(doc))
         res = run_cli(["--config", str(path)] + args)
         assert res.exit_code == 2, res.output
+
+    def test_integral_floats_load(self, tmp_path):
+        path = write_config(tmp_path, n=4, sigma1=0.36, sigma2=1.11)
+        want = load_config(path)
+        doc = json.loads(path.read_text())
+        doc["model"]["n"] = 4.0
+        doc["pricing"].update(N_bar=4.0, n_samples=2e3, seed=7.0,
+                              policy_paths=50.0, policy_seed=8.0)
+        path.write_text(json.dumps(doc))
+        cfg = load_config(path)
+        assert tree_cache_key(cfg) == tree_cache_key(want)
+        got = (cfg.params.n, cfg.n_bar, cfg.n_samples, cfg.seed,
+               cfg.policy_paths, cfg.policy_seed)
+        assert got == (4, 4, 2000, 7, 50, 8)
+        assert all(type(v) is int for v in got)
 
     def test_locked_output_dir(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -297,6 +323,17 @@ class TestConvergeCommand:
         for line in lines[1:3]:
             assert float(line.split(",")[2]) < 1e-12
 
+    def test_repeated_nbar_has_no_slope(self, tmp_path):
+        # one distinct grid size leaves the log-log slope undetermined
+        cfg = write_config(tmp_path, sigma1=0.36, sigma2=1.11, n=4,
+                           n_samples=5000)
+        res = run_cli(["--config", str(cfg), "converge", "--nbar", "3",
+                       "--nbar", "3"])
+        assert res.exit_code == 0, res.output
+        lines = (tmp_path / "out" / "converge.csv").read_text().strip().splitlines()
+        assert len(lines) == 4
+        assert lines[-1] == "# loglog_slope=nan"
+
 
 class TestDeterminism:
     def test_surface_bytes_reproducible(self, tmp_path):
@@ -334,7 +371,7 @@ class TestDeterminism:
         assert a["price"] == b["price"]
         assert a["mc_policy_value"] == b["mc_policy_value"]
 
-    @pytest.mark.parametrize("optimizer", ["lloyd", "clvq", "clvq-lloyd"])
+    @pytest.mark.parametrize("optimizer", tree.OPTIMIZERS)
     def test_cache_bytes_ignore_threads_and_block(self, tmp_path, monkeypatch,
                                                   optimizer):
         # one tree and its policy replay built with 1 and 2 BLAS threads in
@@ -430,16 +467,35 @@ class TestTreeCache:
                     for sub in ("warm", "cold")]
         assert surfaces[0] == surfaces[1]
 
-    def test_mismatched_manifest_rebuilds(self, tmp_path):
-        cfg = load_config(write_config(tmp_path, sigma1=0.36, sigma2=1.11,
-                                       n=4, n_bar=3, n_samples=1000))
-        _, manifest, _ = ensure_tree(cfg)
-        path = cfg.out_dir / "cache" / manifest["cache_key"] / "manifest.json"
-        doc = json.loads(path.read_text())
-        doc["model"]["sigma1"] = 0.5
-        path.write_text(json.dumps(doc))
-        tree, manifest, timings = ensure_tree(cfg)
-        assert "build_tree_seconds" in timings
+    @pytest.mark.parametrize("damage", [
+        "other-dynamics", "manifest-not-an-object", "grid_001.csv",
+        "transition_001.csv",
+    ], ids=["other-dynamics", "manifest-not-an-object", "missing-grid",
+            "missing-transition"])
+    def test_damaged_entry_rebuilds(self, tmp_path, damage):
+        config = write_config(tmp_path, sigma1=0.36, sigma2=1.11, n=4,
+                              n_bar=3, n_samples=1000, q=(1.0, 3.0))
+        first = run_cli(["--config", str(config), "price"])
+        assert first.exit_code == 0, first.output
+        cfg = load_config(config)
+        cache = cfg.out_dir / "cache" / tree_cache_key(cfg)
+        path = cache / "manifest.json"
+        if damage == "other-dynamics":
+            doc = json.loads(path.read_text())
+            doc["model"]["sigma1"] = 0.5
+            path.write_text(json.dumps(doc))
+        elif damage == "manifest-not-an-object":
+            path.write_text("[]\n")
+        else:
+            (cache / damage).unlink()
+        res = run_cli(["--config", str(config), "price"])
+        assert res.exit_code == 0, res.output
+        again = json.loads(res.output)
+        assert "build_tree_seconds" in again["timings"]
+        for field in ("price", "mc_policy_value", "std_err"):
+            assert again[field] == json.loads(first.output)[field], field
+        tree, _, timings = ensure_tree(cfg)
+        assert "load_seconds" in timings
         assert tree.params.sigma1 == 0.36
         assert json.loads(path.read_text())["model"]["sigma1"] == 0.36
 

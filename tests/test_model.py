@@ -15,7 +15,8 @@ from swingquant.model import (
     params_from_dict,
     simulate_factor_paths,
     spot_and_payoff,
-    spot_and_payoff_scaled,
+    spot_and_payoff_of_factor,
+    spot_factor,
     variance_lambda,
 )
 
@@ -156,8 +157,11 @@ class TestSpotPayoff:
         y = rng.normal(size=(50, 2))
         z = y * p.vols
         s1, v1 = spot_and_payoff(p, 7, y)
-        s2, v2 = spot_and_payoff_scaled(p, 7, z)
+        # the tree's payoffs take the spot of a scaled state this way
+        factor = spot_factor(p, 7, z)
+        s2, v2 = spot_and_payoff_of_factor(p, 7, factor)
         np.testing.assert_allclose(s1, s2, rtol=1e-15)
+        np.testing.assert_allclose(s1, p.forward[7] * factor, rtol=1e-15)
         np.testing.assert_allclose(v1, v2, rtol=1e-15)
 
     def test_martingale_property(self):
