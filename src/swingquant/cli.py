@@ -121,6 +121,8 @@ def load_config(path, seed_override=None, out_override=None) -> RunConfig:
         doc = json.loads(path.read_text())
     except (json.JSONDecodeError, OSError) as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError("config must be a JSON object")
     if "model" not in doc:
         raise ConfigError("config missing the 'model' section")
     try:
@@ -128,8 +130,8 @@ def load_config(path, seed_override=None, out_override=None) -> RunConfig:
     except (KeyError, ValueError, TypeError, FileNotFoundError) as exc:
         raise ConfigError(f"bad model section: {exc}") from exc
 
-    pricing = doc.get("pricing", {})
-    output = doc.get("output", {})
+    pricing = _section(doc, "pricing")
+    output = _section(doc, "output")
     try:
         n_bar = as_integer(pricing.get("N_bar", 100), "N_bar")
         n_samples = as_integer(pricing.get("n_samples", 200_000), "n_samples")
@@ -153,9 +155,10 @@ def load_config(path, seed_override=None, out_override=None) -> RunConfig:
         raise ConfigError(f"unknown optimizer {optimizer!r}")
     _check_bounds(q_lo, q_hi)
 
-    out_dir = Path(out_override) if out_override else Path(
-        output.get("directory", "swingquant-out")
-    )
+    directory = output.get("directory", "swingquant-out")
+    if not isinstance(directory, str):
+        raise ConfigError(f"output directory must be a string: {directory!r}")
+    out_dir = Path(out_override) if out_override else Path(directory)
     if not out_dir.is_absolute():
         out_dir = (path.parent / out_dir).resolve()
     return RunConfig(
@@ -163,6 +166,14 @@ def load_config(path, seed_override=None, out_override=None) -> RunConfig:
         seed=seed, policy_paths=policy_paths, policy_seed=policy_seed,
         optimizer=optimizer, out_dir=out_dir,
     )
+
+
+def _section(doc: dict, name: str) -> dict:
+    """The optional object ``doc[name]``, empty when absent."""
+    section = doc.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"the {name!r} section must be a JSON object")
+    return section
 
 
 def _check_n_bar(n_bar: int, n_samples: int) -> None:

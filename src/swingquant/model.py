@@ -27,6 +27,7 @@ __all__ = [
     "factor_step",
     "factor_marginal_covariance",
     "factor_states",
+    "standardized_state",
     "simulate_factor_paths",
     "spot_and_payoff",
     "spot_factor",
@@ -185,6 +186,32 @@ def factor_states(
     return states()
 
 
+def standardized_state(params: TwoFactorParams, k: int,
+                       state: np.ndarray) -> np.ndarray:
+    """Date ``k``'s raw cross-section, standardised, as a new array.
+
+    An affine map of the ``(n_paths, 2)`` states ``state`` makes their
+    sample mean exactly zero and their sample covariance exactly the
+    closed-form marginal covariance at ``t_k``; this removes the leading
+    Monte-Carlo error of smooth functionals while perturbing the joint
+    law only at O(1/sqrt(n_paths)).  Date 0, the deterministic start
+    (0, 0), is copied as it is.  ``state`` itself is not modified, so the
+    raw recursion can go on from it.
+    """
+    if len(state) < 10:
+        raise ValueError("standardize requires at least 10 paths")
+    if k == 0:
+        return state.copy()
+    target = factor_marginal_covariance(params, k * params.dt)
+    centred = state - state.mean(axis=0)
+    sample_cov = centred.T @ centred / len(state)
+    ls = _chol2(sample_cov)
+    lt = _chol2(target)
+    # map B with B' S B = target:  B = Ls^-T Lt^T
+    b = np.linalg.solve(ls.T, lt.T)
+    return centred @ b
+
+
 def simulate_factor_paths(
     params: TwoFactorParams,
     n_paths: int,
@@ -196,33 +223,18 @@ def simulate_factor_paths(
     """Exact factor paths, shape ``(n_paths, n+1, 2)``, starting at (0, 0).
 
     The states of :func:`factor_states` stacked, with ``antithetic`` as
-    there.  ``standardize`` post-processes each date's
-    cross-section with an affine map making its sample mean exactly zero
-    and its sample covariance exactly the closed-form marginal covariance;
-    this removes the leading Monte-Carlo error of smooth functionals while
-    perturbing the joint law only at O(1/sqrt(n_paths)).  Both default off,
-    leaving plain i.i.d. exact Gaussian sampling.  Fixed seeds give
-    bit-identical output.
+    there.  ``standardize`` stacks each state through
+    :func:`standardized_state` instead.  Both default off, leaving plain
+    i.i.d. exact Gaussian sampling.  Fixed seeds give bit-identical
+    output.
     """
-    if standardize and n_paths < 10:
-        raise ValueError("standardize requires at least 10 paths")
     n = params.n
     paths = np.empty((n_paths, n + 1, 2))
     states = factor_states(params, n_paths, seed, antithetic=antithetic)
     for k in range(n + 1):
-        paths[:, k, :] = next(states)  # no name keeps the state alive
-
-    if standardize:
-        for k in range(1, n + 1):
-            target = factor_marginal_covariance(params, k * params.dt)
-            block = paths[:, k, :]
-            centred = block - block.mean(axis=0)
-            sample_cov = centred.T @ centred / n_paths
-            ls = _chol2(sample_cov)
-            lt = _chol2(target)
-            # map B with B' S B = target:  B = Ls^-T Lt^T
-            b = np.linalg.solve(ls.T, lt.T)
-            paths[:, k, :] = centred @ b
+        # no name keeps the state alive
+        paths[:, k, :] = (standardized_state(params, k, next(states))
+                          if standardize else next(states))
     return paths
 
 

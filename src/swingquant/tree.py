@@ -30,9 +30,9 @@ from .model import (
     TwoFactorParams,
     dynamics_to_dict,
     factor_states,
-    simulate_factor_paths,
     spot_and_payoff_of_factor,
     spot_factor,
+    standardized_state,
 )
 from .quantizer import (
     Codebook,
@@ -169,13 +169,101 @@ class DPTable:
     policy: Policy
 
 
-def _scaled_states(params: TwoFactorParams, paths: np.ndarray, k: int) -> np.ndarray:
-    return paths[:, k, :] * params.vols
-
-
 _LLOYD_MAX_ITER = 60
 _LLOYD_TOL = 2e-6
 _CLVQ_STEPS_PER_POINT = 30
+
+
+def _check_fit(n_bar: int, n_samples: int, optimizer: str) -> None:
+    """Reject a grid size, sample count or optimizer no fit can use."""
+    if n_bar < 1:
+        raise ValueError("n_bar must be >= 1")
+    if n_samples < 10 * n_bar:
+        raise ValueError("n_samples must be at least 10 * n_bar")
+    if optimizer not in OPTIMIZERS:
+        raise ValueError(f"unknown optimizer {optimizer!r}")
+
+
+def _grid_rng(seed: int) -> np.random.Generator:
+    """The generator of the grid fits, apart from the paths' own."""
+    return np.random.default_rng(seed ^ 0x9E3779B97F4A7C15)
+
+
+def _root_grid() -> Codebook:
+    """Date 0's grid: the single deterministic point (0, 0)."""
+    return Codebook(np.zeros((1, 2)))
+
+
+def _fit_grid(
+    z: np.ndarray,
+    prev: Codebook,
+    prev_scale: np.ndarray | None,
+    n_bar: int,
+    rng: np.random.Generator,
+    optimizer: str,
+    max_fit_samples: int,
+) -> tuple[Codebook, np.ndarray | None]:
+    """The grid of one date ``k >= 1`` from its scaled states ``z``.
+
+    ``prev`` is grid ``k - 1`` and ``prev_scale`` the scale this function
+    returned for it.  Returns the grid and the sample scale of the fit
+    cloud, ``None`` for a collapsed cloud.
+    """
+    stride = max(1, -(-len(z) // max_fit_samples))
+    fit = z[::stride]
+    if not has_distinct_rows(fit, n_bar + 1):
+        return Codebook(np.unique(fit, axis=0)), None
+
+    scale = fit.std(axis=0)
+    init = None
+    if prev_scale is not None and prev.n_points == n_bar:
+        ratio = np.where(prev_scale > 0,
+                         scale / np.maximum(prev_scale, 1e-300), 1.0)
+        cand = prev.points * ratio
+        if len(np.unique(cand, axis=0)) == n_bar:
+            init = cand
+    if init is None:
+        uniq = np.unique(fit, axis=0)
+        picks = rng.choice(len(uniq), size=n_bar, replace=False)
+        init = uniq[np.sort(picks)]
+    if optimizer != "lloyd":
+        steps = _CLVQ_STEPS_PER_POINT * n_bar
+        order = rng.permutation(len(fit))[:steps]
+        seeded, _ = clvq_optimize(
+            iter(fit[order]), Codebook(init), steps=min(steps, len(order))
+        )
+        if len(np.unique(seeded.points, axis=0)) == n_bar:
+            init = seeded.points
+    if optimizer != "clvq":
+        cb, _ = lloyd_optimize(fit, Codebook(init),
+                               max_iter=_LLOYD_MAX_ITER, tol=_LLOYD_TOL)
+        init = cb.points
+    return Codebook(init), scale
+
+
+def _count_transitions(
+    k: int, idx_prev: np.ndarray, idx_next: np.ndarray, n_from: int, n_to: int
+) -> np.ndarray:
+    """Row-stochastic matrix ``k -> k + 1`` from the paths' node indices.
+
+    Rows never visited default to the next date's marginal cell
+    frequencies, and are logged.
+    """
+    counts = np.bincount(
+        idx_prev * n_to + idx_next, minlength=n_from * n_to
+    ).reshape(n_from, n_to).astype(float)
+    row_sums = counts.sum(axis=1)
+    empty = row_sums == 0
+    if empty.any():
+        marginal = np.bincount(idx_next, minlength=n_to).astype(float)
+        counts[empty] = marginal / marginal.sum()
+        row_sums[empty] = 1.0
+        log.warning(
+            "transition %d: %d of %d rows unvisited, filled with the "
+            "next-date marginal; consider raising n_samples",
+            k, int(empty.sum()), n_from,
+        )
+    return counts / row_sums[:, None]
 
 
 def build_grids(
@@ -189,8 +277,10 @@ def build_grids(
 ) -> list[Codebook]:
     """One optimized, unweighted codebook of the scaled factor state per date.
 
-    ``paths`` is the factor path array of :func:`build_tree`.  Date 0
-    always gets the single deterministic point (0, 0).  Later dates are
+    ``paths`` is a factor path array of
+    :func:`~swingquant.model.simulate_factor_paths`; :func:`build_tree`
+    fits the same grids date by date.  Date 0 always gets the single
+    deterministic point (0, 0).  Later dates are
     fitted on a thinned subsample (at most ``max_fit_samples``) with the
     chosen optimizer: ``"lloyd"`` (seeded from spread samples),
     ``"clvq"`` (online pass only) or ``"clvq-lloyd"`` (online seeding, then
@@ -201,51 +291,14 @@ def build_grids(
     those points.  A fixed-point pass that hits its iteration cap keeps its
     last iterate (:func:`lloyd_optimize` logs it).
     """
-    if n_bar < 1:
-        raise ValueError("n_bar must be >= 1")
-    if len(paths) < 10 * n_bar:
-        raise ValueError("n_samples must be at least 10 * n_bar")
-    if optimizer not in OPTIMIZERS:
-        raise ValueError(f"unknown optimizer {optimizer!r}")
-    rng = np.random.default_rng(seed ^ 0x9E3779B97F4A7C15)
-
-    grids: list[Codebook] = [Codebook(np.zeros((1, 2)))]
-    prev_scale = None
+    _check_fit(n_bar, len(paths), optimizer)
+    rng = _grid_rng(seed)
+    grids = [_root_grid()]
+    scale = None
     for k in range(1, params.n):
-        z = _scaled_states(params, paths, k)
-        stride = max(1, -(-len(z) // max_fit_samples))
-        fit = z[::stride]
-        if not has_distinct_rows(fit, n_bar + 1):
-            grids.append(Codebook(np.unique(fit, axis=0)))
-            prev_scale = None
-            continue
-
-        scale = fit.std(axis=0)
-        init = None
-        if prev_scale is not None and grids[-1].n_points == n_bar:
-            ratio = np.where(prev_scale > 0,
-                             scale / np.maximum(prev_scale, 1e-300), 1.0)
-            cand = grids[-1].points * ratio
-            if len(np.unique(cand, axis=0)) == n_bar:
-                init = cand
-        if init is None:
-            uniq = np.unique(fit, axis=0)
-            picks = rng.choice(len(uniq), size=n_bar, replace=False)
-            init = uniq[np.sort(picks)]
-        if optimizer != "lloyd":
-            steps = _CLVQ_STEPS_PER_POINT * n_bar
-            order = rng.permutation(len(fit))[:steps]
-            seeded, _ = clvq_optimize(
-                iter(fit[order]), Codebook(init), steps=min(steps, len(order))
-            )
-            if len(np.unique(seeded.points, axis=0)) == n_bar:
-                init = seeded.points
-        if optimizer != "clvq":
-            cb, _ = lloyd_optimize(fit, Codebook(init),
-                                   max_iter=_LLOYD_MAX_ITER, tol=_LLOYD_TOL)
-            init = cb.points
-        grids.append(Codebook(init))
-        prev_scale = scale
+        grid, scale = _fit_grid(paths[:, k, :] * params.vols, grids[-1], scale,
+                                n_bar, rng, optimizer, max_fit_samples)
+        grids.append(grid)
     return grids
 
 
@@ -261,27 +314,13 @@ def estimate_transitions(
     marginal cell frequencies, keeping every row a proper distribution;
     such rows are logged so callers can raise ``n_samples``.
     """
-    n = params.n
     transitions: list[np.ndarray] = []
-    idx_prev = nearest_indices(_scaled_states(params, paths, 0), grids[0])
-    for k in range(n - 1):
-        idx_next = nearest_indices(_scaled_states(params, paths, k + 1), grids[k + 1])
-        n_from, n_to = grids[k].n_points, grids[k + 1].n_points
-        counts = np.bincount(
-            idx_prev * n_to + idx_next, minlength=n_from * n_to
-        ).reshape(n_from, n_to).astype(float)
-        row_sums = counts.sum(axis=1)
-        empty = row_sums == 0
-        if empty.any():
-            marginal = np.bincount(idx_next, minlength=n_to).astype(float)
-            counts[empty] = marginal / marginal.sum()
-            row_sums[empty] = 1.0
-            log.warning(
-                "transition %d: %d of %d rows unvisited, filled with the "
-                "next-date marginal; consider raising n_samples",
-                k, int(empty.sum()), n_from,
-            )
-        transitions.append(counts / row_sums[:, None])
+    idx_prev = nearest_indices(paths[:, 0, :] * params.vols, grids[0])
+    for k in range(params.n - 1):
+        idx_next = nearest_indices(paths[:, k + 1, :] * params.vols,
+                                   grids[k + 1])
+        transitions.append(_count_transitions(
+            k, idx_prev, idx_next, grids[k].n_points, grids[k + 1].n_points))
         idx_prev = idx_next
     return transitions
 
@@ -295,10 +334,18 @@ def build_tree(
     *,
     max_fit_samples: int = 50_000,
 ) -> QuantTree:
-    """Full pipeline: simulate once, fit grids, estimate transitions.
+    """Full pipeline: one forward pass that fits grids and counts transitions.
 
-    The ``n_samples`` paths are antithetic and standardised per date, and
-    grids and transitions are both estimated from them.  Grid weights are
+    The ``n_samples`` paths are antithetic and standardised per date
+    (:func:`~swingquant.model.standardized_state`), and grids and
+    transitions are both estimated from them.  They are streamed date by
+    date: each date's states are standardised, fitted as
+    :func:`build_grids` does, projected onto their grid and counted
+    against the previous date's nodes as :func:`estimate_transitions`
+    does, so only a few dates' states are held at a time, and the tree is
+    bit for bit the one those two functions build from the path array of
+    :func:`~swingquant.model.simulate_factor_paths`.  Date ``n`` is never
+    drawn.  Grid weights are
     the date-0 law pushed through the estimated transitions (identical to
     the path-set marginals), so the stored weights, transition matrices
     and backward induction are mutually consistent to machine precision.
@@ -311,12 +358,24 @@ def build_tree(
     correction factors are ``1 + O(distortion^2)`` and vanish as the grids
     refine.
     """
-    paths = simulate_factor_paths(
-        params, n_samples, seed, antithetic=True, standardize=True
-    )
-    grids = build_grids(params, paths, n_bar, seed, optimizer,
-                        max_fit_samples=max_fit_samples)
-    transitions = estimate_transitions(params, grids, paths)
+    _check_fit(n_bar, n_samples, optimizer)
+    rng = _grid_rng(seed)
+    grids = [_root_grid()]
+    transitions: list[np.ndarray] = []
+    scale = None
+    idx_prev = np.zeros(n_samples, dtype=np.intp)  # every path at the root
+    states = factor_states(params, n_samples, seed, antithetic=True)
+    next(states)  # date 0, the deterministic start
+    for k, state in zip(range(1, params.n), states):
+        z = standardized_state(params, k, state)
+        z *= params.vols
+        grid, scale = _fit_grid(z, grids[-1], scale, n_bar, rng, optimizer,
+                                max_fit_samples)
+        idx = nearest_indices(z, grid)
+        transitions.append(_count_transitions(
+            k - 1, idx_prev, idx, grids[-1].n_points, grid.n_points))
+        grids.append(grid)
+        idx_prev = idx
     grids = [g.with_weights(w)
              for g, w in zip(grids, _chained(np.ones(1), transitions))]
     return QuantTree(params, grids, transitions, _payoffs(params, grids))

@@ -233,6 +233,23 @@ class TestExitCodes:
         res = run_cli(["--config", str(path)] + args)
         assert res.exit_code == 2, res.output
 
+    @pytest.mark.parametrize("edit", [
+        lambda doc: 5,
+        lambda doc: [doc],
+        lambda doc: {**doc, "model": 5},
+        lambda doc: {**doc, "pricing": []},
+        lambda doc: {**doc, "pricing": None},
+        lambda doc: {**doc, "output": "out"},
+        lambda doc: {**doc, "output": {"directory": 5}},
+    ], ids=["document-number", "document-list", "model-number",
+            "pricing-list", "pricing-null", "output-string",
+            "directory-number"])
+    def test_sections_of_the_wrong_type(self, tmp_path, edit):
+        path = write_config(tmp_path)
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        res = run_cli(["--config", str(path), "price"])
+        assert res.exit_code == 2, res.output
+
     def test_integral_floats_load(self, tmp_path):
         path = write_config(tmp_path, n=4, sigma1=0.36, sigma2=1.11)
         want = load_config(path)

@@ -1,4 +1,6 @@
 """Quantized pricing engine tests."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,9 @@ from swingquant.contracts import GlobalConstraints, interpolate_on_tile
 from swingquant.model import closed_form_strip, simulate_factor_paths
 from swingquant.oracle import price_lattice_bruteforce
 from swingquant.quantizer import Codebook, distortion, nearest_indices
+from swingquant import tree as tree_module
 from swingquant.tree import (
+    OPTIMIZERS,
     QuantTree,
     build_grids,
     build_tree,
@@ -165,6 +169,58 @@ class TestEstimateTransitions:
             for row in t:
                 tv = 0.5 * np.abs(row - marginal).sum()
                 assert tv <= 0.05
+
+
+class TestBuildTree:
+    @pytest.mark.parametrize("optimizer,sigma", [
+        *((opt, (0.36, 1.11)) for opt in OPTIMIZERS),
+        ("clvq-lloyd", (0.0, 0.0)),
+    ], ids=[*OPTIMIZERS, "degenerate-vol"])
+    def test_one_pass_equals_the_array_pipeline(self, monkeypatch, optimizer,
+                                                sigma):
+        # odd path count: the antithetic mirror is cut short; the fit
+        # subsample is strided
+        params = make_params(n=6, sigma1=sigma[0], sigma2=sigma[1])
+        n_samples, seed = 20_001, 17
+        drawn = []
+        original = tree_module.factor_states
+
+        def counted(*args, **kwargs):
+            for state in original(*args, **kwargs):
+                drawn.append(len(state))
+                yield state
+
+        monkeypatch.setattr(tree_module, "factor_states", counted)
+        got = build_tree(params, 8, n_samples, seed, optimizer,
+                         max_fit_samples=7_000)
+        assert drawn == [n_samples] * params.n  # date n is never drawn
+
+        paths = build_paths(params, n_samples, seed)
+        grids = build_grids(params, paths, 8, seed, optimizer,
+                            max_fit_samples=7_000)
+        transitions = estimate_transitions(params, grids, paths)
+        weights = [np.ones(1)]
+        for t in transitions:
+            weights.append(weights[-1] @ t)
+        for g, want, w in zip(got.grids, grids, weights):
+            assert np.array_equal(g.points, want.points)
+            assert np.array_equal(g.weights, w)
+        assert len(got.transitions) == len(transitions)
+        for t, want in zip(got.transitions, transitions):
+            assert np.array_equal(t, want)
+
+    def test_memory_stays_below_the_path_array(self):
+        params = make_params(n=30)
+        n_samples = 100_000
+        path_array = 16 * n_samples * (params.n + 1)
+        tracemalloc.start()
+        try:
+            build_tree(params, n_bar=20, n_samples=n_samples, seed=3,
+                       optimizer="clvq")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < path_array / 2
 
 
 class TestQuantizedDP:
