@@ -1,6 +1,5 @@
 """Command-line integration tests: exit codes, formats, determinism."""
 import fcntl
-import functools
 import hashlib
 import json
 import math
@@ -411,9 +410,10 @@ class TestDeterminism:
                 env=env, capture_output=True, text=True, timeout=300)
             assert res.returncode == 0, res.stderr
             digests.append(cache_digests(out))
-        blocked = functools.partial(nearest_indices, block=97)
-        monkeypatch.setattr(tree, "nearest_indices", blocked)
-        monkeypatch.setattr(quantizer, "nearest_indices", blocked)
+        # every projection, Lloyd's pruned ones included, runs this scan
+        scan = quantizer._scan
+        monkeypatch.setattr(quantizer, "_scan",
+                            lambda *args, **kw: scan(*args, **{**kw, "block": 97}))
         out = tmp_path / "block97"
         res = run_cli(["--config", str(path), "--out", str(out), "price"])
         assert res.exit_code == 0, res.output

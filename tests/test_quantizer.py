@@ -1,5 +1,6 @@
 """Codebook construction, projection and optimiser tests."""
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -206,6 +207,136 @@ class TestLloyd:
         assert report.final_distortion == pytest.approx(
             distortion(samples, cb), rel=1e-12)
         assert report.stationarity_residual > 0
+
+
+def reference_lloyd(samples, init, max_iter=500, tol=1e-6):
+    """Lloyd's loop with a full projection on every pass.
+
+    Returns the points, weights and report fields of the fit, and the
+    number of empty-cell re-seeds it made.
+    """
+    y = np.asarray(samples, dtype=float)
+    y = y[:, None] if y.ndim == 1 else y
+    pts = np.array(init, dtype=float)
+    n = len(pts)
+
+    def project():
+        return nearest_indices(y, Codebook(pts))
+
+    def sums(idx):
+        return np.stack([np.bincount(idx, weights=y[:, j], minlength=n)
+                         for j in range(y.shape[1])], axis=1)
+
+    history, prev_d2, converged, reseeds = [], None, False, 0
+    for iterations in range(1, max_iter + 1):
+        idx = project()
+        counts = np.bincount(idx, minlength=n)
+        guard = 0
+        while (counts == 0).any():
+            sqd = ((y - pts[idx]) ** 2).sum(axis=1)
+            far = int(np.argmax(sqd))
+            if sqd[far] == 0.0:
+                break
+            pts[int(np.flatnonzero(counts == 0)[0])] = y[far]
+            reseeds += 1
+            idx = project()
+            counts = np.bincount(idx, minlength=n)
+            guard += 1
+            if guard > n:
+                break
+        d2 = float(((y - pts[idx]) ** 2).sum(axis=1).mean())
+        history.append(math.sqrt(d2))
+        if prev_d2 is not None and abs(prev_d2 - d2) <= tol * prev_d2:
+            converged = True
+            break
+        prev_d2 = d2
+        nonzero = counts > 0
+        pts[nonzero] = sums(idx)[nonzero] / counts[nonzero, None]
+    if not converged:
+        idx = project()
+        history.append(math.sqrt(float(((y - pts[idx]) ** 2).sum(axis=1).mean())))
+    counts = np.bincount(idx, minlength=n)
+    nonzero = counts > 0
+    centroids = sums(idx)[nonzero] / counts[nonzero, None]
+    residual = float(np.max(np.sqrt(((centroids - pts[nonzero]) ** 2).sum(axis=1))))
+    return pts, counts / counts.sum(), history, iterations, converged, residual, reseeds
+
+
+def spread_start(y, n, rng):
+    return y[np.sort(rng.choice(len(y), size=n, replace=False))]
+
+
+class TestPrunedLloyd:
+    """The bound-pruned assignment step against full projections."""
+
+    def assert_fit_matches(self, y, init, **kwargs):
+        pts, weights, history, iterations, converged, residual, reseeds = (
+            reference_lloyd(y, init, **kwargs))
+        cb, report = lloyd_optimize(y, Codebook(init), **kwargs)
+        assert np.array_equal(cb.points, pts)
+        assert np.array_equal(cb.weights, weights)
+        assert report.distortion_history == history
+        assert report.iterations == iterations
+        assert report.converged == converged
+        assert report.stationarity_residual == residual
+        return report, reseeds
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_spread_sample_start(self, dim):
+        rng = np.random.default_rng(31 + dim)
+        y = rng.normal(size=(5000, dim)) * [1.0, 3.0][:dim]
+        report, _ = self.assert_fit_matches(y, spread_start(y, 12, rng))
+        assert report.converged and report.iterations > 10
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_warm_start(self, dim):
+        rng = np.random.default_rng(41 + dim)
+        earlier = rng.normal(size=(5000, dim))
+        prev, _ = lloyd_optimize(earlier, Codebook(spread_start(earlier, 10, rng)),
+                                 max_iter=20)
+        y = 1.1 * rng.normal(size=(5000, dim))
+        report, _ = self.assert_fit_matches(y, 1.1 * prev.points, max_iter=60)
+        assert report.iterations > 10
+
+    def test_empty_cell_reseeded(self):
+        rng = np.random.default_rng(53)
+        y = rng.normal(size=(4000, 2))
+        init = np.vstack([spread_start(y, 7, rng), [[40.0, -40.0]]])
+        report, reseeds = self.assert_fit_matches(y, init)
+        assert reseeds > 0 and report.iterations > 10
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_capped_fit(self, dim):
+        rng = np.random.default_rng(61 + dim)
+        y = rng.normal(size=(5000, dim))
+        report, _ = self.assert_fit_matches(y, spread_start(y, 9, rng), max_iter=3)
+        assert not report.converged
+
+    def test_duplicate_rows(self):
+        rng = np.random.default_rng(71)
+        y = np.round(2.0 * rng.normal(size=(6000, 2))) / 2.0
+        init = spread_start(np.unique(y, axis=0), 10, rng)
+        report, _ = self.assert_fit_matches(y, init)
+        assert len(np.unique(y, axis=0)) < len(y) // 20
+
+    @pytest.mark.parametrize("seed", [2, 4, 6])
+    def test_cloud_far_from_the_origin(self, seed):
+        # at 1e6 the scan's rounding spans many samples' cell margins
+        rng = np.random.default_rng(seed)
+        y = rng.normal(size=(4000, 1)) + 1e6
+        init = y[rng.choice(len(y), 8, replace=False)]
+        self.assert_fit_matches(y, init, max_iter=60)
+
+    def test_warm_fit_projects_few_samples(self):
+        rng = np.random.default_rng(83)
+        law = np.array([[1.0, 0.0], [0.4, 2.5]])
+        prev, _ = lloyd_optimize(rng.normal(size=(50_000, 2)) @ law,
+                                 Codebook(rng.normal(size=(16, 2)) @ law),
+                                 max_iter=30)
+        y = rng.normal(size=(50_000, 2)) @ law
+        _, report = lloyd_optimize(y, Codebook(prev.points), max_iter=60)
+        assert report.iterations > 10
+        assert report.projections < 0.25 * len(y) * report.iterations
 
 
 class TestClvq:
