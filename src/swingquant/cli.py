@@ -46,10 +46,10 @@ from .model import (
 )
 from .tree import (
     DEFAULT_OPTIMIZER,
-    OPTIMIZERS,
     TRANSITION_SCHEME,
     PolicyReplay,
     QuantTree,
+    _check_fit,
     build_tree,
     extract_and_value_policy,
     load_tree,
@@ -146,13 +146,14 @@ def load_config(path, seed_override=None, out_override=None) -> RunConfig:
         optimizer = str(pricing.get("optimizer", DEFAULT_OPTIMIZER))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad pricing section: {exc}") from exc
-    _check_n_bar(n_bar, n_samples)
+    try:
+        _check_fit(n_bar, n_samples, optimizer)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     if seed < 0 or policy_seed < 0:
         raise ConfigError("seeds must be >= 0")
     if policy_paths < 2:
         raise ConfigError("policy_paths must be >= 2")
-    if optimizer not in OPTIMIZERS:
-        raise ConfigError(f"unknown optimizer {optimizer!r}")
     _check_bounds(q_lo, q_hi)
 
     directory = output.get("directory", "swingquant-out")
@@ -174,14 +175,6 @@ def _section(doc: dict, name: str) -> dict:
     if not isinstance(section, dict):
         raise ConfigError(f"the {name!r} section must be a JSON object")
     return section
-
-
-def _check_n_bar(n_bar: int, n_samples: int) -> None:
-    """Range checks of a grid size against the configured sample count."""
-    if n_bar < 1:
-        raise ConfigError("N_bar must be >= 1")
-    if n_samples < 10 * n_bar:
-        raise ConfigError("n_samples must be at least 10 * N_bar")
 
 
 def _check_bounds(q_lo: float, q_hi: float) -> None:
@@ -228,6 +221,22 @@ def tree_cache_key(cfg: RunConfig) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
+@contextmanager
+def _publish(entry: Path):
+    """Yield ``<entry>.partial/`` to write a cache entry into, then publish it.
+
+    A ``.partial`` left by an interrupted run is cleared first.  The entry
+    appears under its own name only by the final rename, so one that
+    exists was written in full.
+    """
+    partial = entry.with_name(entry.name + ".partial")
+    if partial.exists():
+        shutil.rmtree(partial)
+    partial.mkdir(parents=True)
+    yield partial
+    os.rename(partial, entry)
+
+
 def ensure_tree(cfg: RunConfig) -> tuple[QuantTree, dict, dict]:
     """Build or reload the tree for the configuration.
 
@@ -236,24 +245,23 @@ def ensure_tree(cfg: RunConfig) -> tuple[QuantTree, dict, dict]:
     transitions, manifest), beside the policy replays of
     :func:`ensure_replay`.  A hit derives the payoffs from the configured
     curves, and ``timings`` holds only ``load_seconds``.  A directory
-    without a manifest, whose load raises a :data:`DAMAGED_ENTRY` error
-    (a missing or truncated file, a damaged manifest, other dynamics) or
-    whose key differs is deleted and rebuilt.
+    whose load raises a :data:`DAMAGED_ENTRY` error (a missing or
+    truncated file, a damaged manifest, other dynamics) or whose key
+    differs is deleted and rebuilt.
     """
     key = tree_cache_key(cfg)
     cache_dir = cfg.out_dir / "cache" / key
-    if (cache_dir / "manifest.json").exists():
+    if cache_dir.exists():
         t0 = time.perf_counter()
         try:
             tree, manifest = load_tree(cache_dir, cfg.params)
-            if manifest.get("cache_key") == key:
-                log.info("cache hit: %s", cache_dir)
-                return tree, manifest, {"load_seconds": time.perf_counter() - t0}
+            if manifest.get("cache_key") != key:
+                raise ValueError(f"it holds key {manifest.get('cache_key')}")
+            log.info("cache hit: %s", cache_dir)
+            return tree, manifest, {"load_seconds": time.perf_counter() - t0}
         except DAMAGED_ENTRY as exc:
-            log.warning("cache %s rejected: %s", cache_dir, exc)
-    if cache_dir.exists():
-        log.warning("cache %s is incomplete or stale; rebuilding", cache_dir)
-        shutil.rmtree(cache_dir)
+            log.warning("cache %s rejected: %s; rebuilding", cache_dir, exc)
+            shutil.rmtree(cache_dir)
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
     tree = build_tree(
@@ -269,7 +277,8 @@ def ensure_tree(cfg: RunConfig) -> tuple[QuantTree, dict, dict]:
         "package_version": __version__,
     }
     t0 = time.perf_counter()
-    manifest = save_tree(tree, cache_dir, manifest_extra)
+    with _publish(cache_dir) as partial:
+        manifest = save_tree(tree, partial, manifest_extra)
     timings["persist_seconds"] = time.perf_counter() - t0
     return tree, manifest, timings
 
@@ -281,10 +290,10 @@ def ensure_replay(cfg: RunConfig, tree: QuantTree,
     The replay lives beside the tree, in
     ``replay-<policy_seed>-<policy_paths>/`` (``nodes.npy`` and
     ``factors.npy``), so it goes with the tree when that is rebuilt.  It
-    is written to a ``.partial`` sibling and published by a rename; an
-    entry that fails to load or does not fit the tree is deleted and
-    rebuilt.  Returns ``(replay, timings)``, with ``replay_load_seconds``
-    on a hit and ``replay_build_seconds`` otherwise.
+    is published as the tree is (:func:`_publish`); an entry that fails
+    to load or does not fit the tree is deleted and rebuilt.  Returns
+    ``(replay, timings)``, with ``replay_load_seconds`` on a hit and
+    ``replay_build_seconds`` otherwise.
     """
     entry = cache_dir / f"replay-{cfg.policy_seed}-{cfg.policy_paths}"
     t0 = time.perf_counter()
@@ -298,13 +307,9 @@ def ensure_replay(cfg: RunConfig, tree: QuantTree,
             log.warning("replay %s rejected: %s; rebuilding", entry, exc)
             shutil.rmtree(entry)
     replay = policy_replay(tree, cfg.policy_paths, cfg.policy_seed)
-    partial = entry.with_name(entry.name + ".partial")
-    if partial.exists():  # left by an interrupted run
-        shutil.rmtree(partial)
-    partial.mkdir()
-    np.save(partial / "nodes.npy", replay.nodes)
-    np.save(partial / "factors.npy", replay.factors)
-    os.rename(partial, entry)
+    with _publish(entry) as partial:
+        np.save(partial / "nodes.npy", replay.nodes)
+        np.save(partial / "factors.npy", replay.factors)
     return replay, {"replay_build_seconds": time.perf_counter() - t0}
 
 
@@ -519,8 +524,11 @@ def converge(ctx, n_bars):
     """Error against the call-strip oracle for each grid size."""
 
     def body(cfg):
-        for n_bar in n_bars:
-            _check_n_bar(n_bar, cfg.n_samples)
+        try:
+            for n_bar in n_bars:
+                _check_fit(n_bar, cfg.n_samples, cfg.optimizer)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         csv_path, rows = run_converge(cfg, list(n_bars))
         click.echo(json.dumps({"converge": str(csv_path),
                                "rows": len(rows)}, sort_keys=True))

@@ -18,12 +18,10 @@ are pure functions and safe to call concurrently.
 """
 from __future__ import annotations
 
-import csv
 import itertools
 import logging
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -38,8 +36,6 @@ __all__ = [
     "lloyd_optimize",
     "clvq_optimize",
     "newton_optimize_1d_normal",
-    "save_codebook_csv",
-    "load_codebook_csv",
 ]
 
 log = logging.getLogger(__name__)
@@ -76,7 +72,8 @@ class Codebook:
             w = np.asarray(self.weights, dtype=float).reshape(-1)
             if w.shape != (len(pts),):
                 raise ValueError("weights must have one entry per point")
-            if np.any(w < 0.0) or abs(w.sum() - 1.0) > _WEIGHT_TOL:
+            # NaN fails every comparison, so a NaN weight fails the check
+            if not (np.all(w >= 0.0) and abs(w.sum() - 1.0) <= _WEIGHT_TOL):
                 raise ValueError("weights must be nonnegative and sum to 1")
             w = w.copy()
             w.setflags(write=False)
@@ -240,7 +237,8 @@ def lloyd_optimize(
 
     Runs on the empirical measure of ``samples`` until the relative decrease
     of the quadratic distortion drops below ``tol`` or ``max_iter`` passes.
-    The recorded distortion history is non-increasing.  A point whose cell
+    The recorded distortion history is non-increasing; a fit whose
+    distortion rises raises ``ArithmeticError``.  A point whose cell
     empties is re-seeded at the sample currently farthest from its assigned
     point, which keeps the codebook size constant and strictly decreases
     distortion.  A run that stops at ``max_iter`` projects its last
@@ -347,8 +345,8 @@ def lloyd_optimize(
         converged=converged,
         projections=projections,
     )
-    for a, b in zip(history, history[1:]):
-        assert b <= a * (1.0 + 1e-12), "distortion increased during iteration"
+    if not all(b <= a * (1.0 + 1e-12) for a, b in zip(history, history[1:])):
+        raise ArithmeticError("distortion increased during iteration")
     return Codebook(pts, weights), report
 
 
@@ -447,36 +445,3 @@ def newton_optimize_1d_normal(
         log.warning("newton_optimize_1d_normal(%d): |grad|=%.2e after %d iters",
                     n, float(np.max(np.abs(grad))), max_iter)
     return Codebook(y[:, None], mass)
-
-
-def save_codebook_csv(cb: Codebook, path) -> None:
-    """Write ``d,N`` header, then N coordinate rows, then optional weights."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([cb.dim, cb.n_points])
-        for row in cb.points:
-            writer.writerow([repr(float(v)) for v in row])
-        if cb.weights is not None:
-            for w in cb.weights:
-                writer.writerow([repr(float(w))])
-
-
-def load_codebook_csv(path) -> Codebook:
-    path = Path(path)
-    with path.open(newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row]
-    if not rows:
-        raise ValueError(f"{path}: empty codebook file")
-    d, n = int(rows[0][0]), int(rows[0][1])
-    if len(rows) not in (1 + n, 1 + 2 * n):
-        raise ValueError(f"{path}: expected {n} point rows "
-                         f"(optionally followed by {n} weight rows)")
-    pts = np.array([[float(v) for v in row] for row in rows[1:1 + n]])
-    if pts.shape != (n, d):
-        raise ValueError(f"{path}: point block has shape {pts.shape}, "
-                         f"want ({n}, {d})")
-    weights = None
-    if len(rows) == 1 + 2 * n:
-        weights = np.array([float(row[0]) for row in rows[1 + n:]])
-    return Codebook(pts, weights)

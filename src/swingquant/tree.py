@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 import logging
 import math
-import os
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -38,10 +37,8 @@ from .quantizer import (
     Codebook,
     clvq_optimize,
     has_distinct_rows,
-    load_codebook_csv,
     lloyd_optimize,
     nearest_indices,
-    save_codebook_csv,
 )
 
 __all__ = [
@@ -96,7 +93,9 @@ class QuantTree:
             if t.shape != want:
                 raise ValueError(f"transition {k} has shape {t.shape}, want {want}")
             rows = t.sum(axis=1)
-            if np.any(t < -_ROW_TOL) or np.any(np.abs(rows - 1.0) > _ROW_TOL):
+            # NaN fails every comparison, so a NaN entry fails the check
+            if not (np.all(t >= -_ROW_TOL)
+                    and np.all(np.abs(rows - 1.0) <= _ROW_TOL)):
                 raise ValueError(f"transition {k} is not row-stochastic")
         for k, v in enumerate(self.payoff_values):
             if v.shape != (self.grids[k].n_points,):
@@ -347,8 +346,9 @@ def build_tree(
     :func:`~swingquant.model.simulate_factor_paths`.  Date ``n`` is never
     drawn.  Grid weights are
     the date-0 law pushed through the estimated transitions (identical to
-    the path-set marginals), so the stored weights, transition matrices
-    and backward induction are mutually consistent to machine precision.
+    the path-set marginals), so the weights, transition matrices and
+    backward induction are mutually consistent to machine precision, and
+    :func:`load_tree` derives the same weights from the saved transitions.
 
     Each date's grid spots are rescaled by a constant so the weighted spot
     mean reprices the forward exactly.  Collapsing the spot exponential
@@ -443,8 +443,8 @@ def _backward(tree: QuantTree, layout, terminal_rows: int, decisions: bool):
         cand1[~allowed1] = -np.inf
         values = np.maximum(cand0, cand1, out=_scratch(pool, 3, shape))
         # min and max propagate NaN: both finite iff every value is
-        assert np.isfinite(values.min()) and np.isfinite(values.max()), \
-            "a state admits no purchase"
+        if not (np.isfinite(values.min()) and np.isfinite(values.max())):
+            raise ArithmeticError("a state admits no purchase")
         yield k, values, (cand1 > cand0).astype(np.int8) if decisions else None
 
 
@@ -644,19 +644,20 @@ def extract_and_value_policy(
 
 
 def save_tree(tree: QuantTree, directory, manifest_extra: dict | None = None) -> dict:
-    """Persist grids and transitions as CSV, and a manifest of the dynamics.
+    """Persist grid points, transitions and a manifest of the dynamics.
 
-    The payoffs follow from the curves and are left to :func:`load_tree`.
-    The manifest is published last, by an atomic rename, so a directory
-    holding ``manifest.json`` is complete.  Returns the manifest.
+    ``grid_kkk.csv`` holds the N points of date ``k`` as rows ``x,y``.
+    The weights follow from the transitions and the payoffs from the
+    curves, so both are left to :func:`load_tree`.  The files are written
+    into ``directory`` as they come; publishing it is the caller's
+    concern.  Returns the manifest.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    for k, grid in enumerate(tree.grids):
-        save_codebook_csv(grid, directory / f"grid_{k:03d}.csv")
-    for k, t in enumerate(tree.transitions):
-        np.savetxt(directory / f"transition_{k:03d}.csv", t, delimiter=",",
-                   fmt="%.17g")
+    for name, arrays in (("grid", [g.points for g in tree.grids]),
+                         ("transition", tree.transitions)):
+        for k, a in enumerate(arrays):
+            _write_csv(directory / f"{name}_{k:03d}.csv", a)
     manifest = {
         "model": dynamics_to_dict(tree.params),
         "grid_sizes": [g.n_points for g in tree.grids],
@@ -664,18 +665,32 @@ def save_tree(tree: QuantTree, directory, manifest_extra: dict | None = None) ->
     }
     if manifest_extra:
         manifest.update(manifest_extra)
-    partial = directory / "manifest.json.partial"
-    partial.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
-    os.replace(partial, directory / "manifest.json")
+    (directory / "manifest.json").write_text(
+        json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     return manifest
+
+
+# Open handles spare np.savetxt and np.loadtxt their path handling, a
+# third to a half of the time they take on a small array.
+def _write_csv(path: Path, a: np.ndarray) -> None:
+    with open(path, "w") as fh:
+        np.savetxt(fh, a, delimiter=",", fmt="%.17g")
+
+
+def _read_csv(path: Path) -> np.ndarray:
+    with open(path) as fh:
+        return np.loadtxt(fh, delimiter=",", ndmin=2)
 
 
 def load_tree(directory, params: TwoFactorParams) -> tuple[QuantTree, dict]:
     """The tree saved by :func:`save_tree`, priced for ``params``.
 
-    Reads the grids and transitions and derives the payoffs of ``params``
-    as :func:`build_tree` does.  Raises ``ValueError`` if ``params`` has
-    other dynamics than the saved tree, or the manifest is no JSON object.  Returns ``(tree, manifest)``.
+    Reads the grid points and transitions, and derives the weights (the
+    date-0 law pushed through the transitions) and the payoffs of
+    ``params`` as :func:`build_tree` does.  Raises ``ValueError`` if
+    ``params`` has other dynamics than the saved tree, the manifest is no
+    JSON object, or a file does not parse or fit the manifest's grid
+    sizes.  Returns ``(tree, manifest)``.
     """
     directory = Path(directory)
     manifest = json.loads((directory / "manifest.json").read_text())
@@ -684,11 +699,16 @@ def load_tree(directory, params: TwoFactorParams) -> tuple[QuantTree, dict]:
         raise ValueError(f"dynamics {dynamics_to_dict(params)} differ from "
                          f"the saved tree's {saved}")
     n = params.n
-    grids = [load_codebook_csv(directory / f"grid_{k:03d}.csv") for k in range(n)]
-    transitions = []
-    for k in range(n - 1):
-        # an open handle spares np.loadtxt its path handling, a third of
-        # the load time of a small matrix
-        with open(directory / f"transition_{k:03d}.csv") as fh:
-            transitions.append(np.loadtxt(fh, delimiter=",", ndmin=2))
+    sizes = manifest.get("grid_sizes")
+    if not isinstance(sizes, list) or len(sizes) != n:
+        raise ValueError(f"grid sizes {sizes!r}, want one per date of {n}")
+    points = [_read_csv(directory / f"grid_{k:03d}.csv") for k in range(n)]
+    for k, p in enumerate(points):
+        if p.shape != (sizes[k], 2):
+            raise ValueError(f"grid {k} has shape {p.shape}, "
+                             f"want ({sizes[k]}, 2)")
+    transitions = [_read_csv(directory / f"transition_{k:03d}.csv")
+                   for k in range(n - 1)]
+    grids = [Codebook(p, w)
+             for p, w in zip(points, _chained(np.ones(1), transitions))]
     return QuantTree(params, grids, transitions, _payoffs(params, grids)), manifest

@@ -486,9 +486,11 @@ class TestTreeCache:
 
     @pytest.mark.parametrize("damage", [
         "other-dynamics", "manifest-not-an-object", "grid_001.csv",
-        "transition_001.csv",
+        "transition_001.csv", "nan-transition", "old-grid-format",
+        "truncated-grid",
     ], ids=["other-dynamics", "manifest-not-an-object", "missing-grid",
-            "missing-transition"])
+            "missing-transition", "nan-transition", "old-grid-format",
+            "truncated-grid"])
     def test_damaged_entry_rebuilds(self, tmp_path, damage):
         config = write_config(tmp_path, sigma1=0.36, sigma2=1.11, n=4,
                               n_bar=3, n_samples=1000, q=(1.0, 3.0))
@@ -503,6 +505,20 @@ class TestTreeCache:
             path.write_text(json.dumps(doc))
         elif damage == "manifest-not-an-object":
             path.write_text("[]\n")
+        elif damage == "nan-transition":
+            matrix = np.loadtxt(cache / "transition_001.csv", delimiter=",")
+            matrix[0, 0] = np.nan
+            np.savetxt(cache / "transition_001.csv", matrix, delimiter=",")
+        elif damage == "old-grid-format":
+            # a header "d,N", the points, then the weights
+            grid = load_tree(cache, cfg.params)[0].grids[1]
+            rows = [f"2,{grid.n_points}"]
+            rows += [f"{x!r},{y!r}" for x, y in grid.points.tolist()]
+            rows += [repr(w) for w in grid.weights.tolist()]
+            (cache / "grid_001.csv").write_text("\n".join(rows) + "\n")
+        elif damage == "truncated-grid":
+            grid = cache / "grid_001.csv"
+            grid.write_text("".join(grid.read_text().splitlines(True)[:-1]))
         else:
             (cache / damage).unlink()
         res = run_cli(["--config", str(config), "price"])

@@ -223,6 +223,25 @@ class TestBuildTree:
         assert peak < path_array / 2
 
 
+class TestQuantTree:
+    def test_nan_transition_rejected(self):
+        tree = random_quant_tree(np.random.default_rng(5), n=3, max_points=3)
+        bad = [t.copy() for t in tree.transitions]
+        bad[1][0, 0] = np.nan
+        with pytest.raises(ValueError, match="row-stochastic"):
+            QuantTree(tree.params, tree.grids, bad, tree.payoff_values)
+
+    def test_state_without_a_purchase_raises(self):
+        tree = random_quant_tree(np.random.default_rng(6), n=2)
+        child, allowed = np.zeros(1, dtype=np.intp), np.zeros(1, dtype=bool)
+
+        def layout(k):  # neither purchase is ever allowed
+            return child, child, allowed, allowed
+
+        with pytest.raises(ArithmeticError, match="admits no purchase"):
+            list(tree_module._backward(tree, layout, 1, decisions=False))
+
+
 class TestQuantizedDP:
     def test_one_step_strip_and_swap(self):
         rng = np.random.default_rng(21)
@@ -415,9 +434,11 @@ class TestPersistence:
         assert back.n == small_tree.n
         for a, b in zip(back.grids, small_tree.grids):
             np.testing.assert_array_equal(a.points, b.points)
-            np.testing.assert_allclose(a.weights, b.weights, atol=1e-15)
+            assert np.array_equal(a.weights, b.weights)
         for a, b in zip(back.transitions, small_tree.transitions):
             np.testing.assert_array_equal(a, b)
+        for a, b in zip(back.payoff_values, small_tree.payoff_values):
+            assert np.array_equal(a, b)
         p1, _ = quantized_dp_price(back, gc(2, 6))
         p2, _ = quantized_dp_price(small_tree, gc(2, 6))
         assert p1 == pytest.approx(p2, rel=1e-12)
