@@ -291,7 +291,9 @@ def ensure_replay(cfg: RunConfig, tree: QuantTree,
     ``replay-<policy_seed>-<policy_paths>/`` (``nodes.npy`` and
     ``factors.npy``), so it goes with the tree when that is rebuilt.  It
     is published as the tree is (:func:`_publish`); an entry that fails
-    to load or does not fit the tree is deleted and rebuilt.  Returns
+    to load or does not fit the tree is deleted and rebuilt.  A key keeps
+    one replay: publishing one deletes the key's other ``replay-*``
+    entries, finished or partial, under the caller's output lock.  Returns
     ``(replay, timings)``, with ``replay_load_seconds`` on a hit and
     ``replay_build_seconds`` otherwise.
     """
@@ -310,6 +312,9 @@ def ensure_replay(cfg: RunConfig, tree: QuantTree,
     with _publish(entry) as partial:
         np.save(partial / "nodes.npy", replay.nodes)
         np.save(partial / "factors.npy", replay.factors)
+    for other in cache_dir.glob("replay-*"):
+        if other != entry:
+            shutil.rmtree(other)
     return replay, {"replay_build_seconds": time.perf_counter() - t0}
 
 

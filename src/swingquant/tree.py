@@ -409,11 +409,18 @@ def _backward(tree: QuantTree, layout, terminal_rows: int, decisions: bool):
     """The backward induction, over ``(row, node)`` arrays.
 
     The caller lays out the rows of each date: ``layout(k)`` returns
-    ``(child0, child1, allowed0, allowed1)``, the row of date ``k + 1``
-    reached without and with a purchase, and whether each purchase is
-    admissible.  The child of a forbidden purchase may be out of range;
-    its gather is clipped and masked away.  Date ``n`` has
-    ``terminal_rows`` rows of value zero.
+    ``(same, child0_tail, child1, must_buy, cannot_buy)``.  Without a
+    purchase, each row ``r < same`` reaches row ``r`` of date ``k + 1``,
+    so its candidate is that row of the continuation values as it
+    stands and needs no gather; row ``same + i`` reaches row
+    ``child0_tail[i]``.  ``child1`` holds the row each row reaches with a
+    purchase.  ``must_buy`` (rows ``>= same``) and ``cannot_buy`` list
+    the few rows whose no-purchase or purchase is forbidden; the child of
+    a forbidden choice may be out of range, as gathers clip.  Date ``n``
+    has ``terminal_rows`` rows of value zero.
+
+    A date thus costs one matmul, one gather, one payoff add and one
+    maximum over its ``(rows, N_k)`` arrays, and a gather of the tail.
 
     Yields ``(k, values, buy)`` from date ``n - 1`` down to 0: ``values``
     of shape ``(rows, N_k)`` and, with ``decisions``, the int8 0/1
@@ -422,30 +429,46 @@ def _backward(tree: QuantTree, layout, terminal_rows: int, decisions: bool):
     buffer the next step overwrites; a caller that keeps it copies it.
     """
     n = tree.n
-    # Four buffers reused across dates: the premium surface's rows grow
+    # Three buffers reused across dates: the premium surface's rows grow
     # at every date, and fresh arrays of growing size would each be
-    # mapped (and page-faulted) anew by the allocator.
-    pool = [np.empty(0)] * 4
+    # mapped (and page-faulted) anew by the allocator.  The purchase
+    # candidates become the values in place.
+    pool = [np.empty(0)] * 3
     values = np.zeros((terminal_rows, tree.width(n - 1)))
     for k in range(n - 1, -1, -1):
+        width = tree.width(k)
         cont = values
         if k < n - 1:
             cont = np.matmul(values, tree.transitions[k].T, out=_scratch(
-                pool, 0, (len(values), tree.width(k))))
-        child0, child1, allowed0, allowed1 = layout(k)
-        shape = (len(child0), tree.width(k))
-        cand0 = np.take(cont, child0, axis=0, mode="clip",
-                        out=_scratch(pool, 1, shape))
-        cand0[~allowed0] = -np.inf
-        cand1 = np.take(cont, child1, axis=0, mode="clip",
-                        out=_scratch(pool, 2, shape))
-        cand1 += tree.payoff_values[k]
-        cand1[~allowed1] = -np.inf
-        values = np.maximum(cand0, cand1, out=_scratch(pool, 3, shape))
-        # min and max propagate NaN: both finite iff every value is
-        if not (np.isfinite(values.min()) and np.isfinite(values.max())):
+                pool, 0, (len(values), width)))
+        same, child0_tail, child1, must_buy, cannot_buy = layout(k)
+        if any(r in cannot_buy for r in must_buy):
             raise ArithmeticError("a state admits no purchase")
-        yield k, values, (cand1 > cand0).astype(np.int8) if decisions else None
+        rows = len(child1)
+        cand1 = np.take(cont, child1, axis=0, mode="clip",
+                        out=_scratch(pool, 1, (rows, width)))
+        _add_to_rows(cand1, tree.payoff_values[k])
+        for r in cannot_buy:
+            cand1[r] = -np.inf
+        buy = np.empty((rows, width), dtype=np.int8) if decisions else None
+        if same:
+            head = cont[:same]
+            if decisions:
+                np.greater(cand1[:same], head, out=buy[:same])
+            np.maximum(head, cand1[:same], out=cand1[:same])
+        if same < rows:
+            tail = np.take(cont, child0_tail, axis=0, mode="clip",
+                           out=_scratch(pool, 2, (rows - same, width)))
+            for r in must_buy:
+                tail[r - same] = -np.inf
+            if decisions:
+                np.greater(cand1[same:], tail, out=buy[same:])
+            np.maximum(tail, cand1[same:], out=cand1[same:])
+        values = cand1
+        # NaN and infinities reach the root from any date they arise at
+        if k == 0 and not np.isfinite(values).all():
+            raise ArithmeticError("the induction overflowed")
+        yield k, values, buy
 
 
 def _scratch(pool: list[np.ndarray], i: int, shape: tuple[int, int]) -> np.ndarray:
@@ -454,6 +477,23 @@ def _scratch(pool: list[np.ndarray], i: int, shape: tuple[int, int]) -> np.ndarr
     if pool[i].size < size:
         pool[i] = np.empty(2 * size)
     return pool[i][:size].reshape(shape)
+
+
+_FLAT_ROWS = 512
+
+
+def _add_to_rows(a: np.ndarray, row: np.ndarray) -> None:
+    """``a += row`` for a C-contiguous ``a``, bit for bit.
+
+    A broadcast add loops over ``row`` innermost, a loop only ``N`` long;
+    blocks of ``_FLAT_ROWS`` rows are added as one flat row instead.
+    """
+    flat = len(a) // _FLAT_ROWS * _FLAT_ROWS
+    if flat:
+        block = a[:flat].reshape(-1, _FLAT_ROWS * len(row))
+        np.add(block, np.tile(row, _FLAT_ROWS), out=block)
+    if flat < len(a):
+        a[flat:] += row
 
 
 def _clamped_integer(q0: GlobalConstraints, n: int) -> GlobalConstraints:
@@ -485,10 +525,17 @@ def quantized_dp_price(
     l_min = np.maximum(lo0 - (n - dates), 0)
     l_max = np.minimum(dates, hi0)
 
+    lows, highs = l_min.tolist(), l_max.tolist()
+    below = np.arange(-1, n + 2)  # below[r] = r - 1
+
     def layout(k):
-        bought = np.arange(l_min[k], l_max[k] + 1)
-        stay = bought - l_min[k + 1]
-        return stay, stay + 1, stay >= 0, bought < hi0
+        rows = highs[k] - lows[k] + 1
+        cannot_buy = (rows - 1,) if highs[k] == hi0 else ()
+        if lows[k + 1] > lows[k]:
+            # the floor rises: count l is row r at date k and row r - 1
+            # at k + 1, and row 0 must buy to keep the floor reachable
+            return 0, below[:rows], below[1:rows + 1], (0,), cannot_buy
+        return rows, below[:0], below[2:rows + 2], (), cannot_buy
 
     values: list[np.ndarray] = [None] * n
     buy: list[np.ndarray] = [None] * n
@@ -504,27 +551,24 @@ def _pair_layouts(n: int):
     The rows of date ``k`` are the pairs ``(a, b)``, ``0 <= a <= b <= m``
     with ``m = n - k``, ordered as :func:`integer_vertices` (by ``b``,
     then ``a``): a prefix of the pairs of horizon ``n``.  Their children
-    are pairs of horizon ``m - 1``.  The index arrays are built once and
-    sliced, as building them afresh at every date costs about as much as
-    the induction.
+    are pairs of horizon ``m - 1``, the first ``same = m (m + 1) / 2``
+    rows of that order.  Not buying keeps a pair with ``b < m``, and so
+    its row: those are exactly the rows ``< same``, which need no gather.
+    The last ``m + 1`` rows, ``(a, m)``, have no room left at horizon
+    ``m - 1`` and become ``(a, m - 1)``, ``m`` rows back.  Only ``(m, m)``
+    must buy and only ``(0, 0)`` cannot.  The index arrays are built once
+    and sliced, as building them afresh at every date costs about as much
+    as the induction.
     """
     b, a = np.tril_indices(n + 1)
-    own = np.arange(len(a))
-    child0 = own.copy()
     child1 = (b - 1) * b // 2 + np.maximum(a - 1, 0)
-    allowed1 = b > 0
-    shifted = slice(0, 0)
+    own = np.arange(len(a))
 
     def layout(k):
-        nonlocal shifted
         m = n - k
-        rows = (m + 1) * (m + 2) // 2
-        # Not buying keeps the pair, except that a pair with b = m has
-        # no room left at horizon m - 1 and becomes (a, m - 1), m rows back.
-        child0[shifted] = own[shifted]
-        shifted = slice(rows - m - 1, rows)
-        np.subtract(own[shifted], m, out=child0[shifted])
-        return child0[:rows], child1[:rows], a[:rows] < m, allowed1[:rows]
+        same = m * (m + 1) // 2
+        rows = same + m + 1
+        return same, own[same - m:same + 1], child1[:rows], (rows - 1,), (0,)
 
     return layout
 

@@ -695,9 +695,23 @@ class TestPolicyReplay:
             assert "replay_build_seconds" in report["timings"]
             assert report["price"] == first["price"]
             reports.append(report)
-        assert self.entries(path) == ["replay-8-3000", "replay-9-2000",
-                                      "replay-9-3000"]
+        assert self.entries(path) == ["replay-9-2000"]
         assert len({r["mc_policy_value"] for r in reports}) == 3
+
+    def test_publishing_prunes_the_other_entries(self, tmp_path):
+        path = self.config(tmp_path)
+        self.price(path)
+        cfg = load_config(path)
+        cache = cfg.out_dir / "cache" / tree_cache_key(cfg)
+        # another seed's interrupted write and another's damaged entry
+        (cache / "replay-8-3000").rename(cache / "replay-5-100.partial")
+        (cache / "replay-7-3000").mkdir()
+        rebuilt = self.price(path)
+        assert "replay_build_seconds" in rebuilt["timings"]
+        assert self.entries(path) == ["replay-8-3000"]
+        again = self.price(path)
+        assert "load_seconds" in again["timings"]  # the tree stayed
+        assert "replay_load_seconds" in again["timings"]
 
 
 class TestAuxCommands:

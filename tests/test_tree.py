@@ -233,10 +233,10 @@ class TestQuantTree:
 
     def test_state_without_a_purchase_raises(self):
         tree = random_quant_tree(np.random.default_rng(6), n=2)
-        child, allowed = np.zeros(1, dtype=np.intp), np.zeros(1, dtype=bool)
+        child = np.zeros(1, dtype=np.intp)
 
-        def layout(k):  # neither purchase is ever allowed
-            return child, child, allowed, allowed
+        def layout(k):  # row 0 must buy and cannot
+            return 0, child, child, (0,), (0,)
 
         with pytest.raises(ArithmeticError, match="admits no purchase"):
             list(tree_module._backward(tree, layout, 1, decisions=False))
@@ -311,6 +311,20 @@ class TestKernelProperties:
         tree, q0 = case
         price, table = quantized_dp_price(tree, q0)
         assert abs(exact_policy_value(tree, table.policy) - price) <= 1e-12
+
+    @given(n=st.integers(min_value=1, max_value=8),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_surface_matches_pointwise_dp(self, n, seed):
+        # every horizon's tail rows (a, m) and its two forbidden rows,
+        # (0, 0) and (m, m), on grids of 1 to 4 points
+        tree = random_quant_tree(np.random.default_rng(seed), n=n,
+                                 max_points=4)
+        surf = premium_surface(tree)
+        for (i, j) in integer_pairs(n):
+            want, _ = quantized_dp_price(tree, gc(i, j))
+            assert surf.values[(i, j)] == pytest.approx(want, rel=1e-11,
+                                                        abs=1e-11)
 
     @given(case=trees_with_bounds())
     @settings(max_examples=100, deadline=None)
