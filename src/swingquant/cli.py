@@ -31,7 +31,6 @@ from .contracts import (
     GlobalConstraints,
     InfeasibleContractError,
     PremiumSurface,
-    integer_vertices,
     interpolate_on_tile,
     locate_tile,
 )
@@ -345,7 +344,7 @@ def run_price(cfg: RunConfig, q_lo=None, q_hi=None, with_policy=True) -> dict:
     }
     t0 = time.perf_counter()
     if q.is_integer:
-        price, table = quantized_dp_price(tree, q)
+        price, policy = quantized_dp_price(tree, q)
         timings["dp_seconds"] = time.perf_counter() - t0
         if with_policy:
             replay, replay_timings = ensure_replay(
@@ -353,7 +352,7 @@ def run_price(cfg: RunConfig, q_lo=None, q_hi=None, with_policy=True) -> dict:
             timings.update(replay_timings)
             t0 = time.perf_counter()
             _, mc_value, std_err = extract_and_value_policy(
-                tree, table, q, cfg.policy_paths, cfg.policy_seed, replay
+                tree, policy, q, cfg.policy_paths, cfg.policy_seed, replay
             )
             timings["policy_seconds"] = time.perf_counter() - t0
             report["mc_policy_value"] = mc_value
@@ -383,8 +382,8 @@ def run_surface(cfg: RunConfig) -> tuple[Path, Path]:
     csv_path = cfg.out_dir / "surface.csv"
     with csv_path.open("w") as fh:
         fh.write("Q_min,Q_max,price\n")
-        for (i, j) in integer_vertices(tree.n):
-            fh.write(f"{i},{j},{surface.values[(i, j)]!r}\n")
+        for (i, j), value in surface.values.items():
+            fh.write(f"{i},{j},{value!r}\n")
     meta = {
         "rows": len(surface.values),
         "n": tree.n,

@@ -352,14 +352,6 @@ class PremiumSurface:
                 f"surface has no value at vertex ({i}, {j})"
             ) from None
 
-    @property
-    def complete(self) -> bool:
-        return all(
-            (i, j) in self.values
-            for j in range(self.n + 1)
-            for i in range(j + 1)
-        )
-
 
 def integer_vertices(n: int) -> list[tuple[int, int]]:
     """All integer pairs ``(i, j)`` with ``0 <= i <= j <= n``."""

@@ -88,10 +88,6 @@ class TwoFactorParams:
         return self.T / self.n
 
     @property
-    def dates(self) -> np.ndarray:
-        return np.arange(self.n) * self.dt
-
-    @property
     def vols(self) -> np.ndarray:
         return np.array([self.sigma1, self.sigma2])
 

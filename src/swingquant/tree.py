@@ -19,7 +19,6 @@ import json
 import logging
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +42,6 @@ from .quantizer import (
 
 __all__ = [
     "QuantTree",
-    "DPTable",
     "Policy",
     "PolicyReplay",
     "build_grids",
@@ -67,7 +65,11 @@ DEFAULT_OPTIMIZER = "clvq-lloyd"
 
 @dataclass
 class QuantTree:
-    """Per-date codebooks, transition matrices and payoff values."""
+    """Per-date codebooks, transition matrices and payoff values.
+
+    The contract starts from a deterministic state, so grid 0 is a single
+    point: every induction ends at ``values[:, 0]`` of date 0.
+    """
 
     params: TwoFactorParams
     grids: list[Codebook]
@@ -78,6 +80,9 @@ class QuantTree:
         n = self.params.n
         if len(self.grids) != n:
             raise ValueError(f"expected {n} grids, got {len(self.grids)}")
+        if self.grids[0].n_points != 1:
+            raise ValueError(f"grid 0 has {self.grids[0].n_points} points; "
+                             "the root is a single point")
         if len(self.transitions) != n - 1:
             raise ValueError(
                 f"expected {n - 1} transition matrices, got {len(self.transitions)}"
@@ -110,18 +115,6 @@ class QuantTree:
     def width(self, k: int) -> int:
         return self.grids[k].n_points
 
-    def root_weights(self) -> np.ndarray:
-        w = self.grids[0].weights
-        if w is None:
-            if self.width(0) != 1:
-                raise ValueError("date-0 grid needs weights when it has >1 point")
-            return np.ones(1)
-        return np.asarray(w)
-
-    def chained_weights(self) -> list[np.ndarray]:
-        """Date-0 law pushed through the transition matrices."""
-        return _chained(self.root_weights(), self.transitions)
-
 
 @dataclass
 class Policy:
@@ -129,45 +122,14 @@ class Policy:
 
     Rows count purchases: ``buy[k][r, i]`` is the purchase at date ``k``
     and node ``i`` after ``l_min[k] + r`` units bought on earlier dates.
-    ``actions`` re-keys the same rows by residual bounds,
-    ``{(k, (q_lo, q_hi)): int8[node]}``.
     """
 
     q0: GlobalConstraints
     l_min: np.ndarray
     buy: list[np.ndarray]
 
-    @property
-    def n(self) -> int:
-        return len(self.buy)
 
-    def residual(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Residual bounds ``(q_lo, q_hi)`` of every row of date ``k``."""
-        bought = self.l_min[k] + np.arange(len(self.buy[k]))
-        return (np.maximum(self.q0.q_lo - bought, 0.0),
-                np.minimum(self.q0.q_hi - bought, float(self.n - k)))
-
-    @cached_property
-    def actions(self) -> dict[tuple[int, tuple[float, float]], np.ndarray]:
-        out: dict[tuple[int, tuple[float, float]], np.ndarray] = {}
-        for k, buy in enumerate(self.buy):
-            for lo, hi, row in zip(*self.residual(k), buy):
-                out.setdefault((k, (float(lo), float(hi))), row)
-        return out
-
-
-@dataclass
-class DPTable:
-    """Backward-induction values, rows laid out as in :class:`Policy`.
-
-    ``values[k]`` has shape ``(rows, N_k)``: the value of each (purchase
-    count, node) state at date ``k``, before that date's purchase.
-    """
-
-    values: list[np.ndarray]
-    policy: Policy
-
-
+_MAX_FIT_SAMPLES = 50_000
 _LLOYD_MAX_ITER = 60
 _LLOYD_TOL = 2e-6
 _CLVQ_STEPS_PER_POINT = 30
@@ -200,7 +162,6 @@ def _fit_grid(
     n_bar: int,
     rng: np.random.Generator,
     optimizer: str,
-    max_fit_samples: int,
 ) -> tuple[Codebook, np.ndarray | None]:
     """The grid of one date ``k >= 1`` from its scaled states ``z``.
 
@@ -208,7 +169,7 @@ def _fit_grid(
     returned for it.  Returns the grid and the sample scale of the fit
     cloud, ``None`` for a collapsed cloud.
     """
-    stride = max(1, -(-len(z) // max_fit_samples))
+    stride = max(1, -(-len(z) // _MAX_FIT_SAMPLES))
     fit = z[::stride]
     if not has_distinct_rows(fit, n_bar + 1):
         return Codebook(np.unique(fit, axis=0)), None
@@ -271,17 +232,15 @@ def build_grids(
     n_bar: int,
     seed: int,
     optimizer: str = DEFAULT_OPTIMIZER,
-    *,
-    max_fit_samples: int = 50_000,
 ) -> list[Codebook]:
     """One optimized, unweighted codebook of the scaled factor state per date.
 
     ``paths`` is a factor path array of
     :func:`~swingquant.model.simulate_factor_paths`; :func:`build_tree`
     fits the same grids date by date.  Date 0 always gets the single
-    deterministic point (0, 0).  Later dates are
-    fitted on a thinned subsample (at most ``max_fit_samples``) with the
-    chosen optimizer: ``"lloyd"`` (seeded from spread samples),
+    deterministic point (0, 0).  Later dates are fitted on a thinned
+    subsample (at most ``_MAX_FIT_SAMPLES``, 50 000) with the chosen
+    optimizer: ``"lloyd"`` (seeded from spread samples),
     ``"clvq"`` (online pass only) or ``"clvq-lloyd"`` (online seeding, then
     fixed-point polish; the default).  Consecutive dates warm-start from the
     previous grid rescaled by the marginal standard deviations, which cuts
@@ -296,7 +255,7 @@ def build_grids(
     scale = None
     for k in range(1, params.n):
         grid, scale = _fit_grid(paths[:, k, :] * params.vols, grids[-1], scale,
-                                n_bar, rng, optimizer, max_fit_samples)
+                                n_bar, rng, optimizer)
         grids.append(grid)
     return grids
 
@@ -330,8 +289,6 @@ def build_tree(
     n_samples: int,
     seed: int,
     optimizer: str = DEFAULT_OPTIMIZER,
-    *,
-    max_fit_samples: int = 50_000,
 ) -> QuantTree:
     """Full pipeline: one forward pass that fits grids and counts transitions.
 
@@ -369,21 +326,19 @@ def build_tree(
     for k, state in zip(range(1, params.n), states):
         z = standardized_state(params, k, state)
         z *= params.vols
-        grid, scale = _fit_grid(z, grids[-1], scale, n_bar, rng, optimizer,
-                                max_fit_samples)
+        grid, scale = _fit_grid(z, grids[-1], scale, n_bar, rng, optimizer)
         idx = nearest_indices(z, grid)
         transitions.append(_count_transitions(
             k - 1, idx_prev, idx, grids[-1].n_points, grid.n_points))
         grids.append(grid)
         idx_prev = idx
-    grids = [g.with_weights(w)
-             for g, w in zip(grids, _chained(np.ones(1), transitions))]
+    grids = [g.with_weights(w) for g, w in zip(grids, _chained(transitions))]
     return QuantTree(params, grids, transitions, _payoffs(params, grids))
 
 
-def _chained(root: np.ndarray, transitions: list[np.ndarray]) -> list[np.ndarray]:
-    """The law ``root`` of date 0 pushed through ``transitions``."""
-    weights = [root]
+def _chained(transitions: list[np.ndarray]) -> list[np.ndarray]:
+    """The law of date 0's single point pushed through ``transitions``."""
+    weights = [np.ones(1)]
     for t in transitions:
         weights.append(weights[-1] @ t)
     return weights
@@ -507,16 +462,16 @@ def _clamped_integer(q0: GlobalConstraints, n: int) -> GlobalConstraints:
 
 def quantized_dp_price(
     tree: QuantTree, q0: GlobalConstraints
-) -> tuple[float, DPTable]:
+) -> tuple[float, Policy]:
     """Price the contract with integer bounds ``q0`` on the quantized tree.
 
     Backward induction on the cumulated-purchase axis: before date ``k``
     the feasible purchase counts are ``l_min(k) .. min(k, q0_hi)``, with
     ``l_min(k) = (q0_lo - (n - k))^+`` (the floor must stay reachable), and
-    each state either keeps ``l`` or moves to ``l + 1``.  Returns the root
-    price and the value table, which also holds the 0/1 policy.
-    Non-integer bounds are rejected; price those from
-    :func:`premium_surface` via tile interpolation.
+    each state either keeps ``l`` or moves to ``l + 1``.  Returns the
+    price, the value of no purchase so far at the tree's single root
+    point, and the 0/1 policy.  Non-integer bounds are rejected; price
+    those from :func:`premium_surface` via tile interpolation.
     """
     n = tree.n
     q0 = _clamped_integer(q0, n)
@@ -537,12 +492,10 @@ def quantized_dp_price(
             return 0, below[:rows], below[1:rows + 1], (0,), cannot_buy
         return rows, below[:0], below[2:rows + 2], (), cannot_buy
 
-    values: list[np.ndarray] = [None] * n
     buy: list[np.ndarray] = [None] * n
-    for k, v, b in _backward(tree, layout, hi0 - lo0 + 1, decisions=True):
-        values[k], buy[k] = v.copy(), b
-    price = float(tree.root_weights() @ values[0][0])
-    return price, DPTable(values, Policy(q0, l_min[:n], buy))
+    for k, values, b in _backward(tree, layout, hi0 - lo0 + 1, decisions=True):
+        buy[k] = b
+    return float(values[0, 0]), Policy(q0, l_min[:n], buy)
 
 
 def _pair_layouts(n: int):
@@ -579,14 +532,15 @@ def premium_surface(tree: QuantTree) -> PremiumSurface:
     Works over all integer bound pairs at every horizon (cost proportional
     to the pair count times the product of consecutive grid sizes), so the
     whole surface costs one induction instead of one per vertex.  Only the
-    current date's values are held; no policy is kept.
+    current date's values are held; no policy is kept.  The premia are
+    date 0's values at the tree's single root point, in the order of
+    :func:`integer_vertices`.
     """
     n = tree.n
     for _, values, _ in _backward(tree, _pair_layouts(n), 1, decisions=False):
         pass  # the loop ends on date 0
-    prices = values @ tree.root_weights()
     return PremiumSurface(n=n, values=dict(zip(integer_vertices(n),
-                                               prices.tolist())))
+                                               values[:, 0].tolist())))
 
 
 @dataclass(frozen=True)
@@ -639,22 +593,23 @@ def policy_replay(tree: QuantTree, n_paths: int, seed: int) -> PolicyReplay:
 
 def extract_and_value_policy(
     tree: QuantTree,
-    table: DPTable,
+    policy: Policy,
     q0: GlobalConstraints,
     n_paths: int,
     seed: int,
     replay: PolicyReplay | None = None,
 ) -> tuple[Policy, float, float]:
-    """Price the bang-bang policy of a value table by simulation.
+    """Price a bang-bang policy by simulation.
 
-    The policy is the one :func:`quantized_dp_price` stored in ``table``
-    for the same bounds ``q0``.  Valuation runs on exact-model paths with
-    an independent ``seed``: states are projected to the grids only to
-    look up decisions, payoffs come from the exact states.  Those paths
-    are the ``replay`` of :func:`policy_replay` for ``(tree, n_paths,
-    seed)``; without one it is simulated here.  What is left per call is
-    a gather of the purchases and the payoffs of the tree's curves, so a
-    cached replay gives the same value and error bit for bit.  Every
+    ``policy`` is the one :func:`quantized_dp_price` returned for the same
+    bounds ``q0``.  Valuation runs on exact-model paths with an
+    independent ``seed``, all from the tree's single root point: states
+    are projected to the grids only to look up decisions, payoffs come
+    from the exact states.  Those paths are the ``replay`` of
+    :func:`policy_replay` for ``(tree, n_paths, seed)``; without one it is
+    simulated here.  What is left per call is a gather of the purchases
+    and the payoffs of the tree's curves, so a cached replay gives the
+    same value and error bit for bit.  Every
     simulated schedule satisfies the global bounds; a violation would
     mean the purchase-count bookkeeping is broken and raises immediately.
 
@@ -662,9 +617,8 @@ def extract_and_value_policy(
     """
     n = tree.n
     q0 = _clamped_integer(q0, n)
-    policy = table.policy
     if policy.q0 != q0:
-        raise ValueError(f"the table holds bounds {policy.q0.as_tuple()}, "
+        raise ValueError(f"the policy is for bounds {policy.q0.as_tuple()}, "
                          f"not {q0.as_tuple()}")
     if replay is None:
         replay = policy_replay(tree, n_paths, seed)
@@ -753,6 +707,5 @@ def load_tree(directory, params: TwoFactorParams) -> tuple[QuantTree, dict]:
                              f"want ({sizes[k]}, 2)")
     transitions = [_read_csv(directory / f"transition_{k:03d}.csv")
                    for k in range(n - 1)]
-    grids = [Codebook(p, w)
-             for p, w in zip(points, _chained(np.ones(1), transitions))]
+    grids = [Codebook(p, w) for p, w in zip(points, _chained(transitions))]
     return QuantTree(params, grids, transitions, _payoffs(params, grids)), manifest

@@ -111,11 +111,9 @@ def test_criterion_3_bang_bang_saturation():
     params = flat_params(n=30, strike=0.0)
     tree = build_tree(params, n_bar=20, n_samples=100_000, seed=5150)
     q0 = GlobalConstraints(5.0, 12.0)
-    _, table = quantized_dp_price(tree, q0)
-    policy, _, _ = extract_and_value_policy(tree, table, q0,
-                                            n_paths=10_000, seed=5151)
-    binary = all(set(np.unique(a)).issubset({0, 1})
-                 for a in policy.actions.values())
+    _, policy = quantized_dp_price(tree, q0)
+    extract_and_value_policy(tree, policy, q0, n_paths=10_000, seed=5151)
+    binary = all(set(np.unique(a)).issubset({0, 1}) for a in policy.buy)
 
     # replay the policy on its valuation paths and count purchases
     from swingquant.quantizer import nearest_indices
@@ -125,13 +123,10 @@ def test_criterion_3_bang_bang_saturation():
     for k in range(params.n):
         z = paths[:, k, :] * params.vols
         node = nearest_indices(z, tree.grids[k])
-        acts = np.zeros(10_000, dtype=np.int8)
-        for purchased in np.unique(bought):
-            key = (float(max(5 - purchased, 0)),
-                   float(min(max(12 - purchased, 0), params.n - k)))
-            mask = bought == purchased
-            acts[mask] = policy.actions[(k, key)][node[mask]]
-        bought += acts
+        l_min_k = max(5 - (params.n - k), 0)
+        assert policy.l_min[k] == l_min_k
+        assert (bought >= l_min_k).all()
+        bought += policy.buy[k][bought - l_min_k, node]
     violations = int((bought != 12).sum())
     ok = binary and violations == 0
     report(

@@ -591,8 +591,8 @@ def reference_policy_value(cfg, q):
     """``(mc_policy_value, std_err)`` by the whole-path replay loop."""
     tree, _ = load_tree(cfg.out_dir / "cache" / tree_cache_key(cfg),
                         cfg.params)
-    _, table = quantized_dp_price(tree, q)
-    policy, params, n_paths = table.policy, cfg.params, cfg.policy_paths
+    _, policy = quantized_dp_price(tree, q)
+    params, n_paths = cfg.params, cfg.policy_paths
     paths = simulate_factor_paths(params, n_paths, cfg.policy_seed)
     bought = np.zeros(n_paths, dtype=np.int64)
     value = np.zeros(n_paths)

@@ -58,7 +58,7 @@ def exact_policy_value(tree, policy):
     transition matrices; every schedule it reaches must end inside the
     policy's bounds.
     """
-    law = {0: tree.root_weights()}  # purchases so far -> node weights
+    law = {0: np.ones(1)}  # purchases so far -> node weights
     total = 0.0
     for k in range(tree.n):
         nxt = {}
@@ -191,13 +191,12 @@ class TestBuildTree:
                 yield state
 
         monkeypatch.setattr(tree_module, "factor_states", counted)
-        got = build_tree(params, 8, n_samples, seed, optimizer,
-                         max_fit_samples=7_000)
+        monkeypatch.setattr(tree_module, "_MAX_FIT_SAMPLES", 7_000)
+        got = build_tree(params, 8, n_samples, seed, optimizer)
         assert drawn == [n_samples] * params.n  # date n is never drawn
 
         paths = build_paths(params, n_samples, seed)
-        grids = build_grids(params, paths, 8, seed, optimizer,
-                            max_fit_samples=7_000)
+        grids = build_grids(params, paths, 8, seed, optimizer)
         transitions = estimate_transitions(params, grids, paths)
         weights = [np.ones(1)]
         for t in transitions:
@@ -231,6 +230,14 @@ class TestQuantTree:
         with pytest.raises(ValueError, match="row-stochastic"):
             QuantTree(tree.params, tree.grids, bad, tree.payoff_values)
 
+    @pytest.mark.parametrize("weights", [None, (0.5, 0.5), (1.0, 0.0)])
+    def test_multi_point_root_rejected(self, weights):
+        tree = random_quant_tree(np.random.default_rng(7), n=2, max_points=1)
+        root = Codebook(np.array([[0.0, 0.0], [1.0, 0.0]]), weights)
+        with pytest.raises(ValueError, match="single point"):
+            QuantTree(tree.params, [root, tree.grids[1]],
+                      [np.ones((2, 1))], [np.zeros(2), tree.payoff_values[1]])
+
     def test_state_without_a_purchase_raises(self):
         tree = random_quant_tree(np.random.default_rng(6), n=2)
         child = np.zeros(1, dtype=np.intp)
@@ -244,15 +251,17 @@ class TestQuantTree:
 
 class TestQuantizedDP:
     def test_one_step_strip_and_swap(self):
+        # a worthless root and one step to 4 weighted points
         rng = np.random.default_rng(21)
-        params = make_params(n=1)
+        params = make_params(n=2)
         pts = rng.normal(size=(4, 2))
         w = np.array([0.1, 0.2, 0.3, 0.4])
         v = rng.uniform(-1, 1, size=4)
-        tree = QuantTree(params, [Codebook(pts, w)], [], [v])
-        price_opt, _ = quantized_dp_price(tree, gc(0, 1))
+        tree = QuantTree(params, [Codebook(np.zeros((1, 2))), Codebook(pts, w)],
+                         [w[None, :]], [np.zeros(1), v])
+        price_opt, _ = quantized_dp_price(tree, gc(0, 2))
         assert price_opt == pytest.approx(float(w @ np.maximum(v, 0.0)), abs=1e-14)
-        price_forced, _ = quantized_dp_price(tree, gc(1, 1))
+        price_forced, _ = quantized_dp_price(tree, gc(2, 2))
         assert price_forced == pytest.approx(float(w @ v), abs=1e-14)
 
     def test_matches_bruteforce_on_random_trees(self):
@@ -282,13 +291,12 @@ class TestQuantizedDP:
             want = price_lattice_dp(lat, gc(i, j))
             assert got == pytest.approx(want, rel=1e-11, abs=1e-11)
 
-    def test_table_zero_corner(self, small_tree):
-        _, table = quantized_dp_price(small_tree, gc(0, 4))
-        for k, values in enumerate(table.values):
-            lo, hi = table.policy.residual(k)
-            spent = (lo == 0) & (hi == 0)
+    def test_spent_cap_never_buys(self, small_tree):
+        _, policy = quantized_dp_price(small_tree, gc(0, 4))
+        for k, buy in enumerate(policy.buy):
+            spent = policy.l_min[k] + np.arange(len(buy)) == 4
             assert spent.any() == (k >= 4)
-            np.testing.assert_array_equal(values[spent], 0.0)
+            assert not buy[spent].any()
 
     def test_cap_clamped_to_horizon(self, small_tree):
         a, _ = quantized_dp_price(small_tree, gc(0, 10))
@@ -309,8 +317,8 @@ class TestKernelProperties:
     @settings(max_examples=200, deadline=None)
     def test_decisions_reproduce_price(self, case):
         tree, q0 = case
-        price, table = quantized_dp_price(tree, q0)
-        assert abs(exact_policy_value(tree, table.policy) - price) <= 1e-12
+        price, policy = quantized_dp_price(tree, q0)
+        assert abs(exact_policy_value(tree, policy) - price) <= 1e-12
 
     @given(n=st.integers(min_value=1, max_value=8),
            seed=st.integers(0, 2**32 - 1))
@@ -337,7 +345,7 @@ class TestPremiumSurface:
     def test_matches_pointwise_dp(self, small_tree):
         surf = premium_surface(small_tree)
         n = small_tree.n
-        assert surf.complete
+        assert set(surf.values) == set(integer_pairs(n))
         for (i, j) in integer_pairs(n):
             want, _ = quantized_dp_price(small_tree, gc(i, j))
             assert surf.values[(i, j)] == pytest.approx(want, rel=1e-11, abs=1e-11)
@@ -345,7 +353,7 @@ class TestPremiumSurface:
     def test_corner_identities(self, small_tree):
         surf = premium_surface(small_tree)
         n = small_tree.n
-        weights = small_tree.chained_weights()
+        weights = [g.weights for g in small_tree.grids]
         swap = sum(float(w @ v) for w, v in zip(weights, small_tree.payoff_values))
         strip = sum(float(w @ np.maximum(v, 0.0))
                     for w, v in zip(weights, small_tree.payoff_values))
@@ -371,38 +379,39 @@ class TestPolicy:
         strikes = np.array([19.0, 21.0, 18.0, 20.5, 19.5])
         params = make_params(n=5, sigma1=0.0, sigma2=0.0, strike=strikes)
         tree = build_tree(params, n_bar=1, n_samples=2_000, seed=9)
-        price, table = quantized_dp_price(tree, gc(2, 2))
+        price, policy = quantized_dp_price(tree, gc(2, 2))
         assert price == pytest.approx(3.0, abs=1e-12)  # payoffs 2 and 1
-        policy, mc, se = extract_and_value_policy(tree, table, gc(2, 2),
-                                                  n_paths=100, seed=10)
+        _, mc, se = extract_and_value_policy(tree, policy, gc(2, 2),
+                                             n_paths=100, seed=10)
         assert mc == pytest.approx(3.0, abs=1e-12)
         assert se == pytest.approx(0.0, abs=1e-12)
         # the deterministic trajectory buys exactly at dates 0 and 2
-        assert policy.actions[(0, (2.0, 2.0))][0] == 1
-        assert policy.actions[(1, (1.0, 1.0))][0] == 0
-        assert policy.actions[(2, (1.0, 1.0))][0] == 1
-        assert policy.actions[(3, (0.0, 0.0))][0] == 0
-        assert policy.actions[(4, (0.0, 0.0))][0] == 0
+        bought = 0
+        for k, want in enumerate((1, 0, 1, 0, 0)):
+            l_min_k = max(2 - (5 - k), 0)
+            assert policy.l_min[k] == l_min_k
+            assert policy.buy[k][bought - l_min_k, 0] == want
+            bought += want
 
     def test_actions_are_binary(self, small_tree):
-        _, table = quantized_dp_price(small_tree, gc(3, 7))
-        policy, _, _ = extract_and_value_policy(small_tree, table, gc(3, 7),
-                                                n_paths=500, seed=12)
-        for arr in policy.actions.values():
+        _, policy = quantized_dp_price(small_tree, gc(3, 7))
+        extract_and_value_policy(small_tree, policy, gc(3, 7),
+                                 n_paths=500, seed=12)
+        for arr in policy.buy:
             assert set(np.unique(arr)).issubset({0, 1})
 
-    def test_rejects_a_table_for_other_bounds(self, small_tree):
-        _, table = quantized_dp_price(small_tree, gc(3, 7))
+    def test_rejects_a_policy_for_other_bounds(self, small_tree):
+        _, policy = quantized_dp_price(small_tree, gc(3, 7))
         with pytest.raises(ValueError, match="bounds"):
-            extract_and_value_policy(small_tree, table, gc(2, 7),
+            extract_and_value_policy(small_tree, policy, gc(2, 7),
                                      n_paths=100, seed=12)
 
     def test_nonnegative_payoffs_saturate(self):
         params = make_params(n=8, strike=0.0)
         tree = build_tree(params, n_bar=10, n_samples=50_000, seed=13)
-        _, table = quantized_dp_price(tree, gc(2, 5))
-        policy, _, _ = extract_and_value_policy(tree, table, gc(2, 5),
-                                                n_paths=2_000, seed=14)
+        _, policy = quantized_dp_price(tree, gc(2, 5))
+        extract_and_value_policy(tree, policy, gc(2, 5),
+                                 n_paths=2_000, seed=14)
         # replay to count purchases per path is internal; the valuation
         # asserts bounds, here we check saturation via the policy itself
         from swingquant.model import simulate_factor_paths, spot_and_payoff
@@ -412,24 +421,21 @@ class TestPolicy:
         for k in range(8):
             z = paths[:, k, :] * params.vols
             node = nearest_indices(z, tree.grids[k])
-            acts = np.zeros(2_000, dtype=int)
-            for purchased in np.unique(bought):
-                key = (float(max(2 - purchased, 0)),
-                       float(min(max(5 - purchased, 0), 8 - k)))
-                mask = bought == purchased
-                acts[mask] = policy.actions[(k, key)][node[mask]]
-            bought += acts
+            l_min_k = max(2 - (8 - k), 0)
+            assert policy.l_min[k] == l_min_k
+            assert (bought >= l_min_k).all()
+            bought += policy.buy[k][bought - l_min_k, node]
         assert (bought == 5).all()
 
-    def test_policy_value_bracketed_and_converging(self):
+    def test_policy_value_bracketed_and_converging(self, monkeypatch):
+        monkeypatch.setattr(tree_module, "_MAX_FIT_SAMPLES", 30_000)
         params = make_params(n=8)
         errs = []
         for n_bar in (10, 50, 200):
-            tree = build_tree(params, n_bar=n_bar, n_samples=200_000, seed=15,
-                              max_fit_samples=30_000)
-            price, table = quantized_dp_price(tree, gc(2, 6))
-            policy, mc, se = extract_and_value_policy(
-                tree, table, gc(2, 6), n_paths=40_000, seed=16
+            tree = build_tree(params, n_bar=n_bar, n_samples=200_000, seed=15)
+            price, policy = quantized_dp_price(tree, gc(2, 6))
+            _, mc, se = extract_and_value_policy(
+                tree, policy, gc(2, 6), n_paths=40_000, seed=16
             )
             # feasible-strategy value cannot beat the true price; allow the
             # quantization bias of the DP price plus MC noise
