@@ -351,7 +351,7 @@ def run_price(cfg: RunConfig, q_lo=None, q_hi=None, with_policy=True) -> dict:
                 cfg, tree, cfg.out_dir / "cache" / manifest["cache_key"])
             timings.update(replay_timings)
             t0 = time.perf_counter()
-            _, mc_value, std_err = extract_and_value_policy(
+            mc_value, std_err = extract_and_value_policy(
                 tree, policy, q, cfg.policy_paths, cfg.policy_seed, replay
             )
             timings["policy_seconds"] = time.perf_counter() - t0
@@ -560,14 +560,14 @@ def _list_artifacts(ctx: click.Context, pattern: str, key: str) -> None:
 @click.pass_context
 def grids(ctx):
     """Build (or reuse) the per-date codebooks; prints their location."""
-    _list_artifacts(ctx, "grid_*.csv", "grid_files")
+    _list_artifacts(ctx, "grids.npy", "grid_files")
 
 
 @main.command()
 @click.pass_context
 def transitions(ctx):
     """Build (or reuse) the transition matrices; prints their location."""
-    _list_artifacts(ctx, "transition_*.csv", "transition_files")
+    _list_artifacts(ctx, "transitions.npy", "transition_files")
 
 
 @main.command()

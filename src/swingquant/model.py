@@ -195,7 +195,7 @@ def standardized_state(params: TwoFactorParams, k: int,
     raw recursion can go on from it.
     """
     if len(state) < 10:
-        raise ValueError("standardize requires at least 10 paths")
+        raise ValueError("standardization requires at least 10 paths")
     if k == 0:
         return state.copy()
     target = factor_marginal_covariance(params, k * params.dt)
@@ -214,23 +214,18 @@ def simulate_factor_paths(
     seed: int,
     *,
     antithetic: bool = False,
-    standardize: bool = False,
 ) -> np.ndarray:
     """Exact factor paths, shape ``(n_paths, n+1, 2)``, starting at (0, 0).
 
     The states of :func:`factor_states` stacked, with ``antithetic`` as
-    there.  ``standardize`` stacks each state through
-    :func:`standardized_state` instead.  Both default off, leaving plain
-    i.i.d. exact Gaussian sampling.  Fixed seeds give bit-identical
-    output.
+    there; by default plain i.i.d. exact Gaussian sampling.  Fixed seeds
+    give bit-identical output.
     """
     n = params.n
     paths = np.empty((n_paths, n + 1, 2))
     states = factor_states(params, n_paths, seed, antithetic=antithetic)
     for k in range(n + 1):
-        # no name keeps the state alive
-        paths[:, k, :] = (standardized_state(params, k, next(states))
-                          if standardize else next(states))
+        paths[:, k, :] = next(states)  # no name keeps the state alive
     return paths
 
 

@@ -235,12 +235,12 @@ def build_grids(
 ) -> list[Codebook]:
     """One optimized, unweighted codebook of the scaled factor state per date.
 
-    ``paths`` is a factor path array of
-    :func:`~swingquant.model.simulate_factor_paths`; :func:`build_tree`
-    fits the same grids date by date.  Date 0 always gets the single
-    deterministic point (0, 0).  Later dates are fitted on a thinned
-    subsample (at most ``_MAX_FIT_SAMPLES``, 50 000) with the chosen
-    optimizer: ``"lloyd"`` (seeded from spread samples),
+    ``paths`` is a factor path array of shape ``(n_samples, n + 1, 2)``;
+    :func:`build_tree` fits the same grids date by date from standardised
+    states.  Date 0 always gets the single deterministic point (0, 0).
+    Later dates are fitted on a thinned subsample (at most
+    ``_MAX_FIT_SAMPLES``, 50 000) with the chosen optimizer: ``"lloyd"``
+    (seeded from spread samples),
     ``"clvq"`` (online pass only) or ``"clvq-lloyd"`` (online seeding, then
     fixed-point polish; the default).  Consecutive dates warm-start from the
     previous grid rescaled by the marginal standard deviations, which cuts
@@ -299,9 +299,10 @@ def build_tree(
     :func:`build_grids` does, projected onto their grid and counted
     against the previous date's nodes as :func:`estimate_transitions`
     does, so only a few dates' states are held at a time, and the tree is
-    bit for bit the one those two functions build from the path array of
-    :func:`~swingquant.model.simulate_factor_paths`.  Date ``n`` is never
-    drawn.  Grid weights are
+    bit for bit the one those two functions build from the path array
+    that stacks :func:`~swingquant.model.standardized_state` over the
+    antithetic :func:`~swingquant.model.factor_states`.  Date ``n`` is
+    never drawn.  Grid weights are
     the date-0 law pushed through the estimated transitions (identical to
     the path-set marginals), so the weights, transition matrices and
     backward induction are mutually consistent to machine precision, and
@@ -598,7 +599,7 @@ def extract_and_value_policy(
     n_paths: int,
     seed: int,
     replay: PolicyReplay | None = None,
-) -> tuple[Policy, float, float]:
+) -> tuple[float, float]:
     """Price a bang-bang policy by simulation.
 
     ``policy`` is the one :func:`quantized_dp_price` returned for the same
@@ -613,7 +614,7 @@ def extract_and_value_policy(
     simulated schedule satisfies the global bounds; a violation would
     mean the purchase-count bookkeeping is broken and raises immediately.
 
-    Returns ``(policy, mc_value, std_err)``.
+    Returns ``(mc_value, std_err)``.
     """
     n = tree.n
     q0 = _clamped_integer(q0, n)
@@ -635,7 +636,7 @@ def extract_and_value_policy(
         raise AssertionError("simulated schedule violated the global bounds")
     mc_value = float(value.mean())
     std_err = float(value.std(ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0
-    return policy, mc_value, std_err
+    return mc_value, std_err
 
 
 # -- persistence -------------------------------------------------------------
@@ -644,18 +645,22 @@ def extract_and_value_policy(
 def save_tree(tree: QuantTree, directory, manifest_extra: dict | None = None) -> dict:
     """Persist grid points, transitions and a manifest of the dynamics.
 
-    ``grid_kkk.csv`` holds the N points of date ``k`` as rows ``x,y``.
-    The weights follow from the transitions and the payoffs from the
-    curves, so both are left to :func:`load_tree`.  The files are written
-    into ``directory`` as they come; publishing it is the caller's
-    concern.  Returns the manifest.
+    ``grids.npy`` stacks the points of every date in date order, shape
+    ``(sum N_k, 2)``; ``transitions.npy`` concatenates the matrices, each
+    flattened row-major, in date order.  The manifest's ``grid_sizes``
+    split them.  The weights follow from the transitions and the payoffs
+    from the curves, so both are left to :func:`load_tree`.  The files
+    are written into ``directory`` as they come; publishing it is the
+    caller's concern.  Returns the manifest.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    for name, arrays in (("grid", [g.points for g in tree.grids]),
-                         ("transition", tree.transitions)):
-        for k, a in enumerate(arrays):
-            _write_csv(directory / f"{name}_{k:03d}.csv", a)
+    np.save(directory / "grids.npy",
+            np.concatenate([g.points for g in tree.grids]))
+    # the empty head keeps a one-date tree's file a float64 array
+    np.save(directory / "transitions.npy",
+            np.concatenate([np.empty(0)]
+                           + [t.reshape(-1) for t in tree.transitions]))
     manifest = {
         "model": dynamics_to_dict(tree.params),
         "grid_sizes": [g.n_points for g in tree.grids],
@@ -668,27 +673,16 @@ def save_tree(tree: QuantTree, directory, manifest_extra: dict | None = None) ->
     return manifest
 
 
-# Open handles spare np.savetxt and np.loadtxt their path handling, a
-# third to a half of the time they take on a small array.
-def _write_csv(path: Path, a: np.ndarray) -> None:
-    with open(path, "w") as fh:
-        np.savetxt(fh, a, delimiter=",", fmt="%.17g")
-
-
-def _read_csv(path: Path) -> np.ndarray:
-    with open(path) as fh:
-        return np.loadtxt(fh, delimiter=",", ndmin=2)
-
-
 def load_tree(directory, params: TwoFactorParams) -> tuple[QuantTree, dict]:
     """The tree saved by :func:`save_tree`, priced for ``params``.
 
-    Reads the grid points and transitions, and derives the weights (the
-    date-0 law pushed through the transitions) and the payoffs of
-    ``params`` as :func:`build_tree` does.  Raises ``ValueError`` if
-    ``params`` has other dynamics than the saved tree, the manifest is no
-    JSON object, or a file does not parse or fit the manifest's grid
-    sizes.  Returns ``(tree, manifest)``.
+    Splits the stacked grid points and transitions at the manifest's grid
+    sizes, and derives the weights (the date-0 law pushed through the
+    transitions) and the payoffs of ``params`` as :func:`build_tree`
+    does.  Raises ``ValueError`` if ``params`` has other dynamics than the
+    saved tree, the manifest is no JSON object or its grid sizes are not
+    one positive integer per date, or an array does not parse or fit
+    those sizes.  Returns ``(tree, manifest)``.
     """
     directory = Path(directory)
     manifest = json.loads((directory / "manifest.json").read_text())
@@ -698,14 +692,19 @@ def load_tree(directory, params: TwoFactorParams) -> tuple[QuantTree, dict]:
                          f"the saved tree's {saved}")
     n = params.n
     sizes = manifest.get("grid_sizes")
-    if not isinstance(sizes, list) or len(sizes) != n:
-        raise ValueError(f"grid sizes {sizes!r}, want one per date of {n}")
-    points = [_read_csv(directory / f"grid_{k:03d}.csv") for k in range(n)]
-    for k, p in enumerate(points):
-        if p.shape != (sizes[k], 2):
-            raise ValueError(f"grid {k} has shape {p.shape}, "
-                             f"want ({sizes[k]}, 2)")
-    transitions = [_read_csv(directory / f"transition_{k:03d}.csv")
-                   for k in range(n - 1)]
-    grids = [Codebook(p, w) for p, w in zip(points, _chained(transitions))]
+    if not (isinstance(sizes, list) and len(sizes) == n
+            and all(type(s) is int and s > 0 for s in sizes)):
+        raise ValueError(f"grid sizes {sizes!r}, want {n} positive integers")
+    cells = [a * b for a, b in zip(sizes, sizes[1:])]
+    points = np.load(directory / "grids.npy")
+    flat = np.load(directory / "transitions.npy")
+    for name, a, shape in (("grids", points, (sum(sizes), 2)),
+                           ("transitions", flat, (sum(cells),))):
+        if a.dtype != np.float64 or a.shape != shape:
+            raise ValueError(f"{name}.npy holds {a.dtype} {a.shape}, "
+                             f"want float64 {shape}")
+    transitions = [t.reshape(a, b) for t, a, b in zip(
+        np.split(flat, np.cumsum(cells)[:-1]), sizes, sizes[1:])]
+    grids = [Codebook(p, w) for p, w in zip(
+        np.split(points, np.cumsum(sizes)[:-1]), _chained(transitions))]
     return QuantTree(params, grids, transitions, _payoffs(params, grids)), manifest

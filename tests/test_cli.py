@@ -419,9 +419,9 @@ class TestDeterminism:
         assert res.exit_code == 0, res.output
         digests.append(cache_digests(out))
         assert digests[0] == digests[1] == digests[2]
-        # one cache directory: 5 grids, 4 transitions, manifest, and the
-        # policy replay's two arrays
-        assert len(digests[0]) == 12
+        # one cache directory: grids, transitions, manifest, and the policy
+        # replay's two arrays
+        assert len(digests[0]) == 5
 
 
 class TestTreeCache:
@@ -485,12 +485,12 @@ class TestTreeCache:
         assert surfaces[0] == surfaces[1]
 
     @pytest.mark.parametrize("damage", [
-        "other-dynamics", "manifest-not-an-object", "grid_001.csv",
-        "transition_001.csv", "nan-transition", "old-grid-format",
-        "truncated-grid",
-    ], ids=["other-dynamics", "manifest-not-an-object", "missing-grid",
-            "missing-transition", "nan-transition", "old-grid-format",
-            "truncated-grid"])
+        "other-dynamics", "manifest-not-an-object", "missing-grid",
+        "missing-transition", "truncated-grid", "truncated-transition",
+        "nan-grid", "nan-transition", "old-grid-format",
+        "grid-sizes-mismatch", "grid-size-not-an-integer",
+        "grid-size-not-positive",
+    ])
     def test_damaged_entry_rebuilds(self, tmp_path, damage):
         config = write_config(tmp_path, sigma1=0.36, sigma2=1.11, n=4,
                               n_bar=3, n_samples=1000, q=(1.0, 3.0))
@@ -499,28 +499,43 @@ class TestTreeCache:
         cfg = load_config(config)
         cache = cfg.out_dir / "cache" / tree_cache_key(cfg)
         path = cache / "manifest.json"
+        doc = json.loads(path.read_text())
+        assert doc["grid_sizes"] == [1, 3, 3, 3]
+        kind, _, target = damage.partition("-")
         if damage == "other-dynamics":
-            doc = json.loads(path.read_text())
             doc["model"]["sigma1"] = 0.5
             path.write_text(json.dumps(doc))
         elif damage == "manifest-not-an-object":
             path.write_text("[]\n")
-        elif damage == "nan-transition":
-            matrix = np.loadtxt(cache / "transition_001.csv", delimiter=",")
-            matrix[0, 0] = np.nan
-            np.savetxt(cache / "transition_001.csv", matrix, delimiter=",")
+        elif kind == "missing":
+            (cache / f"{target}s.npy").unlink()
+        elif kind == "truncated":
+            npy = cache / f"{target}s.npy"
+            npy.write_bytes(npy.read_bytes()[:-8])
+        elif kind == "nan":
+            npy = cache / f"{target}s.npy"
+            array = np.load(npy)
+            array.flat[-1] = np.nan
+            np.save(npy, array)
         elif damage == "old-grid-format":
-            # a header "d,N", the points, then the weights
-            grid = load_tree(cache, cfg.params)[0].grids[1]
-            rows = [f"2,{grid.n_points}"]
-            rows += [f"{x!r},{y!r}" for x, y in grid.points.tolist()]
-            rows += [repr(w) for w in grid.weights.tolist()]
-            (cache / "grid_001.csv").write_text("\n".join(rows) + "\n")
-        elif damage == "truncated-grid":
-            grid = cache / "grid_001.csv"
-            grid.write_text("".join(grid.read_text().splitlines(True)[:-1]))
+            # the CSV format, one text file per date, under this key
+            tree, _ = load_tree(cache, cfg.params)
+            for name, arrays in (("grid", [g.points for g in tree.grids]),
+                                 ("transition", tree.transitions)):
+                for k, a in enumerate(arrays):
+                    np.savetxt(cache / f"{name}_{k:03d}.csv", a,
+                               delimiter=",", fmt="%.17g")
+            (cache / "grids.npy").unlink()
+            (cache / "transitions.npy").unlink()
         else:
-            (cache / damage).unlink()
+            # the mismatch keeps the 10 points but wants 22 transition
+            # cells, not 21; the zero size keeps both array lengths
+            doc["grid_sizes"] = {
+                "grid-sizes-mismatch": [1, 2, 4, 3],
+                "grid-size-not-an-integer": [1, 3.0, 3, 3],
+                "grid-size-not-positive": [1, 3, 6, 0],
+            }[damage]
+            path.write_text(json.dumps(doc))
         res = run_cli(["--config", str(config), "price"])
         assert res.exit_code == 0, res.output
         again = json.loads(res.output)
@@ -580,9 +595,7 @@ class TestTreeCache:
         assert math.isfinite(price)
         cache = {p.name for p in
                  (cfg.out_dir / "cache" / manifest["cache_key"]).iterdir()}
-        assert cache == ({f"grid_{k:03d}.csv" for k in range(4)}
-                         | {f"transition_{k:03d}.csv" for k in range(3)}
-                         | {"manifest.json"})
+        assert cache == {"manifest.json", "grids.npy", "transitions.npy"}
         _, again, timings = ensure_tree(cfg)
         assert again == manifest and "load_seconds" in timings
 
@@ -721,11 +734,11 @@ class TestAuxCommands:
         res = run_cli(["--config", str(cfg), "grids"])
         assert res.exit_code == 0
         doc = json.loads(res.output)
-        assert len(doc["grid_files"]) == 4
+        assert doc["grid_files"] == ["grids.npy"]
         res = run_cli(["--config", str(cfg), "transitions"])
         assert res.exit_code == 0
         doc = json.loads(res.output)
-        assert len(doc["transition_files"]) == 3
+        assert doc["transition_files"] == ["transitions.npy"]
 
     def test_simulate(self, tmp_path):
         cfg = write_config(tmp_path, sigma1=0.36, sigma2=1.11, n=4)

@@ -17,6 +17,7 @@ from swingquant.model import (
     spot_and_payoff,
     spot_and_payoff_of_factor,
     spot_factor,
+    standardized_state,
     variance_lambda,
 )
 
@@ -118,9 +119,10 @@ class TestSimulation:
 
     def test_standardize_pins_moments(self):
         p = make_params(n=6)
-        paths = simulate_factor_paths(p, 5000, seed=11, standardize=True)
-        for k in range(1, 7):
-            block = paths[:, k, :]
+        states = factor_states(p, 5000, seed=11)
+        next(states)  # date 0, the deterministic start
+        for k, state in zip(range(1, 7), states):
+            block = standardized_state(p, k, state)
             np.testing.assert_allclose(block.mean(axis=0), 0.0, atol=1e-12)
             cov = block.T @ block / len(block)
             np.testing.assert_allclose(

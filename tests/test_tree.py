@@ -13,7 +13,11 @@ from helpers import (
     tree_as_lattice,
 )
 from swingquant.contracts import GlobalConstraints, interpolate_on_tile
-from swingquant.model import closed_form_strip, simulate_factor_paths
+from swingquant.model import (
+    closed_form_strip,
+    factor_states,
+    standardized_state,
+)
 from swingquant.oracle import price_lattice_bruteforce
 from swingquant.quantizer import Codebook, distortion, nearest_indices
 from swingquant import tree as tree_module
@@ -95,8 +99,11 @@ make_params = flat_params
 
 def build_paths(params, n_samples, seed):
     """The path array :func:`build_tree` simulates."""
-    return simulate_factor_paths(params, n_samples, seed,
-                                 antithetic=True, standardize=True)
+    paths = np.empty((n_samples, params.n + 1, 2))
+    states = factor_states(params, n_samples, seed, antithetic=True)
+    for k, state in enumerate(states):
+        paths[:, k, :] = standardized_state(params, k, state)
+    return paths
 
 
 @pytest.fixture(scope="module")
@@ -381,8 +388,8 @@ class TestPolicy:
         tree = build_tree(params, n_bar=1, n_samples=2_000, seed=9)
         price, policy = quantized_dp_price(tree, gc(2, 2))
         assert price == pytest.approx(3.0, abs=1e-12)  # payoffs 2 and 1
-        _, mc, se = extract_and_value_policy(tree, policy, gc(2, 2),
-                                             n_paths=100, seed=10)
+        mc, se = extract_and_value_policy(tree, policy, gc(2, 2),
+                                          n_paths=100, seed=10)
         assert mc == pytest.approx(3.0, abs=1e-12)
         assert se == pytest.approx(0.0, abs=1e-12)
         # the deterministic trajectory buys exactly at dates 0 and 2
@@ -434,7 +441,7 @@ class TestPolicy:
         for n_bar in (10, 50, 200):
             tree = build_tree(params, n_bar=n_bar, n_samples=200_000, seed=15)
             price, policy = quantized_dp_price(tree, gc(2, 6))
-            _, mc, se = extract_and_value_policy(
+            mc, se = extract_and_value_policy(
                 tree, policy, gc(2, 6), n_paths=40_000, seed=16
             )
             # feasible-strategy value cannot beat the true price; allow the
@@ -462,6 +469,30 @@ class TestPersistence:
         p1, _ = quantized_dp_price(back, gc(2, 6))
         p2, _ = quantized_dp_price(small_tree, gc(2, 6))
         assert p1 == pytest.approx(p2, rel=1e-12)
+
+    @pytest.mark.parametrize("seed,sizes", [
+        (5, [1, 3, 3, 1, 3, 2, 2, 2]),  # a collapsed date among 2 and 3
+        (0, [1]),                       # no transitions at all
+    ])
+    def test_round_trip_of_unequal_grids(self, tmp_path, seed, sizes):
+        # an off-by-one split offset moves a point or a cell between dates
+        raw = random_quant_tree(np.random.default_rng(seed), n=len(sizes),
+                                max_points=3)
+        params, transitions = raw.params, raw.transitions
+        grids = [g.with_weights(w) for g, w in
+                 zip(raw.grids, tree_module._chained(transitions))]
+        tree = QuantTree(params, grids, transitions,
+                         tree_module._payoffs(params, grids))
+        save_tree(tree, tmp_path)
+        back, manifest = load_tree(tmp_path, params)
+        assert manifest["grid_sizes"] == sizes
+        for a, b in zip(back.grids, tree.grids, strict=True):
+            assert np.array_equal(a.points, b.points)
+            assert np.array_equal(a.weights, b.weights)
+        for a, b in zip(back.transitions, tree.transitions, strict=True):
+            assert np.array_equal(a, b)
+        for a, b in zip(back.payoff_values, tree.payoff_values, strict=True):
+            assert np.array_equal(a, b)
 
 
 class TestRemark:
