@@ -201,6 +201,17 @@ def output_lock(out_dir: Path):
         yield
 
 
+def _tree_fields(cfg: RunConfig) -> dict:
+    """The build settings a tree entry is hashed under and records."""
+    return {
+        "N_bar": cfg.n_bar,
+        "n_samples": cfg.n_samples,
+        "seed": cfg.seed,
+        "optimizer": cfg.optimizer,
+        "package_version": __version__,
+    }
+
+
 def tree_cache_key(cfg: RunConfig) -> str:
     """Hash of what the grids and transitions depend on.
 
@@ -209,12 +220,8 @@ def tree_cache_key(cfg: RunConfig) -> str:
     """
     payload = {
         "dynamics": dynamics_to_dict(cfg.params),
-        "N_bar": cfg.n_bar,
-        "n_samples": cfg.n_samples,
-        "seed": cfg.seed,
-        "optimizer": cfg.optimizer,
         "scheme": TRANSITION_SCHEME,
-        "package_version": __version__,
+        **_tree_fields(cfg),
     }
     blob = json.dumps(payload, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
@@ -267,17 +274,10 @@ def ensure_tree(cfg: RunConfig) -> tuple[QuantTree, dict, dict]:
         cfg.params, cfg.n_bar, cfg.n_samples, cfg.seed, cfg.optimizer
     )
     timings["build_tree_seconds"] = time.perf_counter() - t0
-    manifest_extra = {
-        "N_bar": cfg.n_bar,
-        "n_samples": cfg.n_samples,
-        "seed": cfg.seed,
-        "optimizer": cfg.optimizer,
-        "cache_key": key,
-        "package_version": __version__,
-    }
     t0 = time.perf_counter()
     with _publish(cache_dir) as partial:
-        manifest = save_tree(tree, partial, manifest_extra)
+        manifest = save_tree(tree, partial,
+                             {**_tree_fields(cfg), "cache_key": key})
     timings["persist_seconds"] = time.perf_counter() - t0
     return tree, manifest, timings
 

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.special import ndtr
 
 __all__ = [
     "TwoFactorParams",
@@ -32,6 +31,7 @@ __all__ = [
     "spot_and_payoff",
     "spot_factor",
     "spot_and_payoff_of_factor",
+    "norm_cdf",
     "black_call",
     "closed_form_strip",
     "DYNAMICS_FIELDS",
@@ -270,6 +270,12 @@ def spot_and_payoff_of_factor(params: TwoFactorParams, k: int, factor):
     return spot, payoff
 
 
+def norm_cdf(x: float) -> float:
+    """Standard normal distribution function, through the complementary
+    error function so the lower tail keeps its relative accuracy."""
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+
 def black_call(forward: float, strike: float, total_variance: float) -> float:
     """Undiscounted Black call on a forward with given total log-variance."""
     if forward <= 0:
@@ -283,7 +289,7 @@ def black_call(forward: float, strike: float, total_variance: float) -> float:
     vol = math.sqrt(total_variance)
     d1 = (math.log(forward / strike) + 0.5 * total_variance) / vol
     d2 = d1 - vol
-    return float(forward * ndtr(d1) - strike * ndtr(d2))
+    return forward * norm_cdf(d1) - strike * norm_cdf(d2)
 
 
 def closed_form_strip(params: TwoFactorParams) -> float:

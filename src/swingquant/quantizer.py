@@ -18,13 +18,14 @@ are pure functions and safe to call concurrently.
 """
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 from dataclasses import dataclass, field
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+
+from .model import norm_cdf
 
 __all__ = [
     "Codebook",
@@ -350,35 +351,27 @@ def lloyd_optimize(
     return Codebook(pts, weights), report
 
 
-def clvq_optimize(
-    sample_stream,
-    cb0: Codebook,
-    steps: int,
-) -> tuple[Codebook, OptimizerReport]:
+def clvq_optimize(samples, cb0: Codebook) -> tuple[Codebook, OptimizerReport]:
     """Online codebook descent: pull the nearest point toward each sample.
 
-    For the ``t``-th of at most ``steps`` samples the nearest point moves
-    by the fraction ``1 / (100 N + t)`` of its offset (the harmonic
-    schedule sums to infinity while its squares stay summable).  Only the
-    points are tuned: the returned codebook has no weights and the report
-    no distortion, since a caller that needs either projects its own
-    sample.
+    One step per row of the ``(M, d)`` array ``samples``, in row order:
+    for the ``t``-th row the nearest point moves by the fraction
+    ``1 / (100 N + t)`` of its offset (the harmonic schedule sums to
+    infinity while its squares stay summable).  Only the points are tuned:
+    the returned codebook has no weights and the report no distortion,
+    since a caller that needs either projects its own sample.  No rows
+    return ``cb0`` itself.
     """
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
-    if steps == 0:
+    y = np.asarray(samples, dtype=float).reshape(len(samples), cb0.dim)
+    if len(y) == 0:
         return cb0, OptimizerReport(iterations=0, final_distortion=math.nan)
-    n, d = cb0.n_points, cb0.dim
+    n = cb0.n_points
     pts = cb0.points.copy()
-    t = 0
-    for t, xi in enumerate(itertools.islice(sample_stream, steps), start=1):
-        xv = np.asarray(xi, dtype=float).reshape(d)
+    for t, xv in enumerate(y, start=1):
         i = int(((pts - xv) ** 2).sum(axis=1).argmin())
         pts[i] += (1.0 / (100.0 * n + t)) * (xv - pts[i])
-    if t < steps:
-        log.warning("clvq stream exhausted after %d of %d steps", t, steps)
-    report = OptimizerReport(iterations=t, final_distortion=math.nan,
-                             converged=True, projections=t)
+    report = OptimizerReport(iterations=len(y), final_distortion=math.nan,
+                             converged=True, projections=len(y))
     return Codebook(pts), report
 
 
@@ -405,11 +398,12 @@ def newton_optimize_1d_normal(
         return Codebook(np.zeros((1, 1)), np.ones(1))
 
     # start at the distribution quantiles, symmetric by construction
-    y = ndtri((2.0 * np.arange(1, n + 1) - 1.0) / (2.0 * n))
+    y = np.array([NormalDist().inv_cdf((2.0 * i - 1.0) / (2.0 * n))
+                  for i in range(1, n + 1)])
 
     def gradient_and_cells(yv):
         mids = 0.5 * (yv[:-1] + yv[1:])
-        cdf = np.concatenate(([0.0], ndtr(mids), [1.0]))
+        cdf = np.concatenate(([0.0], [norm_cdf(m) for m in mids], [1.0]))
         pdf = np.concatenate(([0.0], _norm_pdf(mids), [0.0]))
         mass = np.diff(cdf)  # cell probabilities
         mean = pdf[:-1] - pdf[1:]  # integral of u phi(u) over each cell

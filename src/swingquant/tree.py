@@ -187,11 +187,8 @@ def _fit_grid(
         picks = rng.choice(len(uniq), size=n_bar, replace=False)
         init = uniq[np.sort(picks)]
     if optimizer != "lloyd":
-        steps = _CLVQ_STEPS_PER_POINT * n_bar
-        order = rng.permutation(len(fit))[:steps]
-        seeded, _ = clvq_optimize(
-            iter(fit[order]), Codebook(init), steps=min(steps, len(order))
-        )
+        order = rng.permutation(len(fit))[:_CLVQ_STEPS_PER_POINT * n_bar]
+        seeded, _ = clvq_optimize(fit[order], Codebook(init))
         if len(np.unique(seeded.points, axis=0)) == n_bar:
             init = seeded.points
     if optimizer != "clvq":

@@ -1,6 +1,11 @@
-"""Every exported name resolves: no export outlives its definition."""
+"""Every exported name resolves (no export outlives its definition), and
+importing the package and its command loads no scipy."""
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,3 +20,14 @@ def test_every_export_resolves(name):
     module = importlib.import_module(name)
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert missing == []
+
+
+def test_import_loads_no_scipy():
+    script = ("import sys, swingquant, swingquant.cli\n"
+              "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n")
+    src = str(Path(swingquant.__file__).resolve().parents[1])
+    res = subprocess.run([sys.executable, "-c", script],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"

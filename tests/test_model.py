@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 from scipy.stats import ks_2samp
 
 from swingquant.model import (
@@ -12,6 +13,7 @@ from swingquant.model import (
     factor_marginal_covariance,
     factor_states,
     factor_step,
+    norm_cdf,
     params_from_dict,
     simulate_factor_paths,
     spot_and_payoff,
@@ -173,6 +175,20 @@ class TestSpotPayoff:
             spot, _ = spot_and_payoff(p, k, paths[:, k, :])
             se = spot.std() / math.sqrt(len(spot))
             assert abs(spot.mean() - 20.0) < 3 * se, k
+
+
+class TestNormCdf:
+    def test_half_at_zero(self):
+        assert norm_cdf(0.0) == 0.5
+
+    def test_symmetry(self):
+        for x in np.linspace(-8.0, 8.0, 1601):
+            assert abs(norm_cdf(x) + norm_cdf(-x) - 1.0) <= 4e-16
+
+    def test_matches_scipy(self):
+        xs = np.linspace(-8.0, 8.0, 1601)
+        got = np.array([norm_cdf(x) for x in xs])
+        np.testing.assert_allclose(got, ndtr(xs), rtol=1e-13, atol=0.0)
 
 
 class TestBlackStrip:

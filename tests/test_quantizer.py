@@ -1,5 +1,4 @@
 """Codebook construction, projection and optimiser tests."""
-import itertools
 import math
 import os
 import subprocess
@@ -363,22 +362,22 @@ class TestPrunedLloyd:
 
 class TestClvq:
     def test_two_point_support(self):
-        stream = itertools.cycle([np.array([-1.0]), np.array([1.0])])
-        cb, _ = clvq_optimize(stream, cb1d(-0.5, 0.5), steps=100_000)
+        samples = np.tile([[-1.0], [1.0]], (50_000, 1))
+        cb, _ = clvq_optimize(samples, cb1d(-0.5, 0.5))
         got = np.sort(cb.points[:, 0])
         assert abs(got[0] + 1.0) < 0.05
         assert abs(got[1] - 1.0) < 0.05
 
     def test_zero_steps_identity(self):
         cb0 = cb1d(-0.5, 0.5)
-        cb, report = clvq_optimize(iter([]), cb0, steps=0)
+        cb, report = clvq_optimize(np.empty((0, 1)), cb0)
         assert cb is cb0
         assert report.iterations == 0
 
     def test_normal_two_points(self):
         rng = np.random.default_rng(23)
-        stream = iter(rng.standard_normal(1_010_000))
-        cb, report = clvq_optimize(stream, cb1d(-0.3, 0.3), steps=1_000_000)
+        samples = rng.standard_normal((1_000_000, 1))
+        cb, report = clvq_optimize(samples, cb1d(-0.3, 0.3))
         got = np.sort(cb.points[:, 0])
         assert abs(got[0] + ROOT_2_OVER_PI) < 0.05
         assert abs(got[1] - ROOT_2_OVER_PI) < 0.05
