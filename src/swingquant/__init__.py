@@ -12,19 +12,11 @@ from .contracts import (
     InfeasibleContractError,
     PremiumSurface,
     RawContract,
-    Tile,
-    admissible_interval,
-    advance_constraints,
     interpolate_on_tile,
-    locate_tile,
     normalize_contract,
-    reachable_set,
 )
-from .model import TwoFactorParams, closed_form_strip, simulate_factor_paths
-from .oracle import ScenarioLattice, TwoPeriodInstance, price_two_period
-from .quantizer import Codebook, distortion, lloyd_optimize, nearest_index
+from .model import TwoFactorParams, closed_form_strip
 from .tree import (
-    QuantTree,
     build_tree,
     extract_and_value_policy,
     premium_surface,
@@ -38,24 +30,10 @@ __all__ = [
     "InfeasibleContractError",
     "PremiumSurface",
     "RawContract",
-    "Tile",
-    "admissible_interval",
-    "advance_constraints",
     "interpolate_on_tile",
-    "locate_tile",
     "normalize_contract",
-    "reachable_set",
     "TwoFactorParams",
     "closed_form_strip",
-    "simulate_factor_paths",
-    "ScenarioLattice",
-    "TwoPeriodInstance",
-    "price_two_period",
-    "Codebook",
-    "distortion",
-    "lloyd_optimize",
-    "nearest_index",
-    "QuantTree",
     "build_tree",
     "extract_and_value_policy",
     "premium_surface",

@@ -126,7 +126,7 @@ def load_config(path, seed_override=None, out_override=None) -> RunConfig:
         raise ConfigError("config missing the 'model' section")
     try:
         params = params_from_dict(doc["model"], base_dir=path.parent)
-    except (KeyError, ValueError, TypeError, FileNotFoundError) as exc:
+    except (KeyError, ValueError, TypeError, OSError) as exc:
         raise ConfigError(f"bad model section: {exc}") from exc
 
     pricing = _section(doc, "pricing")
@@ -188,10 +188,16 @@ def output_lock(out_dir: Path):
 
     Holds an exclusive ``flock`` on ``<out>/.lock`` for the whole run.  The
     kernel releases it when the holder exits or dies, so a crashed run
-    blocks nobody; the file itself stays.
+    blocks nobody; the file itself stays.  A path that cannot be made a
+    directory or hold the lock file is a :class:`ConfigError`; errors of
+    the guarded body pass through.
     """
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / ".lock", "a") as fh:
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        fh = open(out_dir / ".lock", "a")
+    except OSError as exc:
+        raise ConfigError(f"cannot use output directory: {exc}") from exc
+    with fh:
         try:
             fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
         except BlockingIOError:
@@ -377,8 +383,6 @@ def run_surface(cfg: RunConfig) -> tuple[Path, Path]:
     t0 = time.perf_counter()
     surface = premium_surface(tree)
     timings["surface_seconds"] = time.perf_counter() - t0
-    if not all(math.isfinite(v) for v in surface.values.values()):
-        raise ArithmeticError("non-finite surface value")
     csv_path = cfg.out_dir / "surface.csv"
     with csv_path.open("w") as fh:
         fh.write("Q_min,Q_max,price\n")

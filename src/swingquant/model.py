@@ -57,6 +57,10 @@ class TwoFactorParams:
     strikes: np.ndarray  # K_k, one per date
 
     def __post_init__(self) -> None:
+        # NaN passes every comparison below, so finiteness comes first
+        for name in ("alpha1", "alpha2", "sigma1", "sigma2", "rho", "r", "T"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.alpha1 <= 0 or self.alpha2 <= 0:
             raise ValueError("mean-reversion speeds must be positive")
         if self.sigma1 < 0 or self.sigma2 < 0:
@@ -72,6 +76,8 @@ class TwoFactorParams:
         stk = np.asarray(self.strikes, dtype=float).reshape(-1)
         if fwd.shape != (self.n,) or stk.shape != (self.n,):
             raise ValueError(f"forward and strikes must each hold {self.n} values")
+        if not (np.all(np.isfinite(fwd)) and np.all(np.isfinite(stk))):
+            raise ValueError("forward and strikes must be finite")
         if np.any(fwd <= 0):
             raise ValueError("forward curve must be strictly positive")
         if np.any(stk < 0):
@@ -315,8 +321,6 @@ def _load_curve(value, n: int, base_dir: Path, name: str) -> np.ndarray:
         path = Path(value)
         if not path.is_absolute():
             path = base_dir / path
-        if not path.exists():
-            raise FileNotFoundError(f"{name} curve file not found: {path}")
         with path.open(newline="") as fh:
             rows = [row for row in csv.reader(fh) if row]
         values = [float(row[0]) for row in rows]

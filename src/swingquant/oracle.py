@@ -9,9 +9,7 @@ helpers, so agreement between the two routes is meaningful.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -131,36 +129,6 @@ class ScenarioLattice:
             sum(w @ np.maximum(v, 0.0)
                 for w, v in zip(self.level_weights(), self.payoffs))
         )
-
-    # -- JSON interchange ---------------------------------------------------
-
-    def to_json(self) -> dict:
-        levels = []
-        for k in range(self.n):
-            nodes = []
-            for i in range(self.width(k)):
-                node = {"payoff": float(self.payoffs[k][i])}
-                if k < self.n - 1:
-                    node["children"] = [float(p) for p in self.transitions[k][i]]
-                nodes.append(node)
-            levels.append(nodes)
-        return {"levels": levels}
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "ScenarioLattice":
-        levels = doc["levels"]
-        payoffs = [[node["payoff"] for node in level] for level in levels]
-        transitions = []
-        for k in range(len(levels) - 1):
-            transitions.append([node["children"] for node in levels[k]])
-        return cls(payoffs, transitions)
-
-    def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_json(), sort_keys=True))
-
-    @classmethod
-    def load(cls, path) -> "ScenarioLattice":
-        return cls.from_json(json.loads(Path(path).read_text()))
 
 
 def price_two_period(

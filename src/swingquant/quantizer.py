@@ -46,6 +46,8 @@ _WEIGHT_TOL = 1e-9
 # relative outward rounding of its bound updates
 _BOUND_SLACK = 1e-12
 _BOUND_ROUNDING = 2.0 ** -40
+# Rows per block of the nearest-point scan; the results do not depend on it
+_SCAN_BLOCK = 16384
 
 
 @dataclass(frozen=True)
@@ -127,20 +129,21 @@ def nearest_index(y, cb: Codebook) -> int:
     return int(np.argmin(d2))
 
 
-def nearest_indices(samples, cb: Codebook, block: int = 16384) -> np.ndarray:
+def nearest_indices(samples, cb: Codebook) -> np.ndarray:
     """Vectorised nearest-point assignment for an (M, d) sample block.
 
-    Same tie rule as :func:`nearest_index`.  Work proceeds in blocks with a
-    reused scratch buffer so the inner loop allocates nothing per sample.
+    Same tie rule as :func:`nearest_index`.  Work proceeds in blocks of
+    ``_SCAN_BLOCK`` rows with a reused scratch buffer so the inner loop
+    allocates nothing per sample.
     """
     y = _as_samples(samples, cb.dim)
     out = np.empty(y.shape[0], dtype=np.intp)
-    _scan(y, cb.points, out, block=block)
+    _scan(y, cb.points, out)
     return out
 
 
 def _scan(y: np.ndarray, pts: np.ndarray, out: np.ndarray,
-          second: np.ndarray | None = None, block: int = 16384) -> None:
+          second: np.ndarray | None = None) -> None:
     """Write the nearest point of each row of ``y`` into ``out``.
 
     The scan ranks points by ``0.5 |p|^2 - y.p`` (``|y - p|^2`` less the
@@ -148,6 +151,7 @@ def _scan(y: np.ndarray, pts: np.ndarray, out: np.ndarray,
     each row's runner-up value of that surrogate (``inf`` for one point).
     """
     m = y.shape[0]
+    block = _SCAN_BLOCK
     half_p2 = 0.5 * (pts ** 2).sum(axis=1)
     scratch = np.empty((min(block, m), pts.shape[0]))
     for start in range(0, m, block):

@@ -194,6 +194,41 @@ class TestExitCodes:
         res = run_cli(["--config", str(path)] + args)
         assert res.exit_code == code, res.output
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("field", ["alpha1", "alpha2", "sigma1", "sigma2",
+                                       "rho", "r", "T", "forward", "strike"])
+    def test_non_finite_model_fields(self, tmp_path, field, value):
+        path = write_config(tmp_path)
+        doc = json.loads(path.read_text())
+        # a curve gets one bad entry, a scalar field the value itself
+        doc["model"][field] = ([20.0, value, 20.0]
+                               if field in ("forward", "strike") else value)
+        path.write_text(json.dumps(doc))  # NaN and Infinity literals
+        res = run_cli(["--config", str(path), "price"])
+        assert res.exit_code == 2, res.output
+
+    def test_curve_path_is_a_directory(self, tmp_path):
+        (tmp_path / "curves").mkdir()
+        cfg = write_config(tmp_path, forward="curves")
+        res = run_cli(["--config", str(cfg), "price"])
+        assert res.exit_code == 2, res.output
+        assert "config error" in res.output
+
+    def test_out_names_a_file(self, tmp_path):
+        cfg = write_config(tmp_path)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        res = run_cli(["--config", str(cfg), "--out", str(taken), "price"])
+        assert res.exit_code == 2, res.output
+        assert "config error" in res.output
+
+    @pytest.mark.parametrize("command", ["surface", "price"])
+    def test_overflow_is_a_numerical_failure(self, tmp_path, command):
+        cfg = write_config(tmp_path, forward=1e308, strike=0.0)
+        res = run_cli(["--config", str(cfg), command])
+        assert res.exit_code == 4, res.output
+        assert "the induction overflowed" in res.output
+
     def test_numerical_failure(self, tmp_path, monkeypatch):
         import swingquant.cli as climod
 
@@ -410,10 +445,9 @@ class TestDeterminism:
                 env=env, capture_output=True, text=True, timeout=300)
             assert res.returncode == 0, res.stderr
             digests.append(cache_digests(out))
-        # every projection, Lloyd's pruned ones included, runs this scan
-        scan = quantizer._scan
-        monkeypatch.setattr(quantizer, "_scan",
-                            lambda *args, **kw: scan(*args, **{**kw, "block": 97}))
+        # every projection, Lloyd's pruned ones included, runs one scan
+        # that reads this block size
+        monkeypatch.setattr(quantizer, "_SCAN_BLOCK", 97)
         out = tmp_path / "block97"
         res = run_cli(["--config", str(path), "--out", str(out), "price"])
         assert res.exit_code == 0, res.output

@@ -198,24 +198,7 @@ class TestFineGridDP:
             price_lattice_dp_fine(lat, gc(0.0, 1.0 / 3.0))
 
 
-class TestJsonInterchange:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(41)
-        lat = random_lattice(rng, n=3)
-        path = tmp_path / "lattice.json"
-        lat.save(path)
-        back = ScenarioLattice.load(path)
-        assert back.n == lat.n
-        for a, b in zip(back.payoffs, lat.payoffs):
-            np.testing.assert_allclose(a, b)
-        for a, b in zip(back.transitions, lat.transitions):
-            np.testing.assert_allclose(a, b)
-        assert price_lattice_dp(back, gc(1, 2)) == pytest.approx(
-            price_lattice_dp(lat, gc(1, 2)), abs=1e-15
-        )
-
+class TestScenarioLattice:
     def test_bad_probabilities_rejected(self):
-        doc = {"levels": [[{"payoff": 1.0, "children": [0.6, 0.6]}],
-                          [{"payoff": 0.0}, {"payoff": 2.0}]]}
-        with pytest.raises(ValueError):
-            ScenarioLattice.from_json(doc)
+        with pytest.raises(ValueError, match="row-stochastic"):
+            ScenarioLattice([[1.0], [0.0, 2.0]], [[[0.6, 0.6]]])

@@ -255,6 +255,16 @@ class TestQuantTree:
         with pytest.raises(ArithmeticError, match="admits no purchase"):
             list(tree_module._backward(tree, layout, 1, decisions=False))
 
+    def test_overflow_raises(self):
+        # three finite payoffs of 1e308 sum to inf on every path
+        tree = random_quant_tree(np.random.default_rng(8), n=3, max_points=1)
+        tree = QuantTree(tree.params, tree.grids, tree.transitions,
+                         [np.full(1, 1e308)] * 3)
+        with pytest.raises(ArithmeticError, match="overflowed"):
+            premium_surface(tree)
+        with pytest.raises(ArithmeticError, match="overflowed"):
+            quantized_dp_price(tree, gc(0, 3))
+
 
 class TestQuantizedDP:
     def test_one_step_strip_and_swap(self):
