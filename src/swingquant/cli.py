@@ -463,6 +463,11 @@ def _dispatch(ctx: click.Context, fn) -> None:
     except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(EXIT_CONFIG)
+    except OSError as exc:
+        # a file the body writes (a result, a cache entry) that the
+        # operating system refuses: the configured output is unusable
+        click.echo(f"output error: {exc}", err=True)
+        sys.exit(EXIT_CONFIG)
     except (InfeasibleContractError, ConstraintViolationError) as exc:
         click.echo(f"infeasible constraints: {exc}", err=True)
         sys.exit(EXIT_INFEASIBLE)

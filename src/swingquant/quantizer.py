@@ -29,6 +29,7 @@ from .model import norm_cdf
 
 __all__ = [
     "Codebook",
+    "stacked_codebooks",
     "OptimizerReport",
     "nearest_index",
     "nearest_indices",
@@ -58,29 +59,7 @@ class Codebook:
     weights: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
-        if pts.ndim != 2 or pts.size == 0:
-            raise ValueError("points must form a non-empty (N, d) array")
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("non-finite codebook point")
-        # equal rows are adjacent once sorted; a lexsort of a few points
-        # is several times cheaper than np.unique(axis=0)
-        ordered = pts[np.lexsort(pts.T)]
-        if np.any(np.all(ordered[1:] == ordered[:-1], axis=1)):
-            raise ValueError("codebook points must be pairwise distinct")
-        pts = pts.copy()
-        pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
-        if self.weights is not None:
-            w = np.asarray(self.weights, dtype=float).reshape(-1)
-            if w.shape != (len(pts),):
-                raise ValueError("weights must have one entry per point")
-            # NaN fails every comparison, so a NaN weight fails the check
-            if not (np.all(w >= 0.0) and abs(w.sum() - 1.0) <= _WEIGHT_TOL):
-                raise ValueError("weights must be nonnegative and sum to 1")
-            w = w.copy()
-            w.setflags(write=False)
-            object.__setattr__(self, "weights", w)
+        _set_fields(self, *_checked(self.points, self.weights))
 
     @property
     def n_points(self) -> int:
@@ -90,8 +69,71 @@ class Codebook:
     def dim(self) -> int:
         return self.points.shape[1]
 
-    def with_weights(self, weights) -> "Codebook":
-        return Codebook(self.points, weights)
+
+def stacked_codebooks(points, sizes, weights=None) -> list[Codebook]:
+    """The codebooks whose points are consecutive row blocks of ``points``.
+
+    Block ``k`` holds ``sizes[k]`` rows of the ``(sum sizes, d)`` array
+    ``points`` and, if ``weights`` is given, the same entries of that
+    flat array.  Every block passes the checks of :class:`Codebook`, with
+    its messages, but the stack is checked at once: one finiteness pass,
+    one sort for equal points within a block, one sum per block.  The
+    codebooks hold read-only views of one copy of each array.
+    """
+    sizes = [int(s) for s in sizes]
+    pts, w = _checked(points, weights, sizes)
+    books = []
+    stop = 0
+    for size in sizes:
+        start, stop = stop, stop + size
+        cb = object.__new__(Codebook)  # checked above, as one stack
+        _set_fields(cb, pts[start:stop], None if w is None else w[start:stop])
+        books.append(cb)
+    return books
+
+
+def _checked(points, weights, sizes: list[int] | None = None):
+    """Read-only float copies of ``points`` and ``weights`` (or ``None``).
+
+    Raises ``ValueError`` unless each block of ``sizes`` rows (one block
+    by default) and its weights make a valid codebook.
+    """
+    pts = np.atleast_2d(np.array(points, dtype=float))
+    if pts.ndim != 2 or pts.size == 0:
+        raise ValueError("points must form a non-empty (N, d) array")
+    if sizes is None:
+        sizes = [len(pts)]
+    elif min(sizes, default=0) < 1 or sum(sizes) != len(pts):
+        raise ValueError(f"block sizes must be positive and sum to {len(pts)}")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("non-finite codebook point")
+    # equal rows of one block are adjacent once sorted by block, then
+    # point; a lexsort of a few points is several times cheaper than
+    # np.unique(axis=0).  The blocks are in order, so sorting keeps them.
+    block = np.repeat(np.arange(len(sizes)), sizes)
+    ordered = pts[np.lexsort((*pts.T, block))]
+    if np.any(np.all(ordered[1:] == ordered[:-1], axis=1)
+              & (block[1:] == block[:-1])):
+        raise ValueError("codebook points must be pairwise distinct")
+    pts.setflags(write=False)
+    if weights is None:
+        return pts, None
+    w = np.array(weights, dtype=float).reshape(-1)
+    if w.shape != (len(pts),):
+        raise ValueError("weights must have one entry per point")
+    # NaN fails every comparison, so a NaN weight fails the check
+    sums = np.add.reduceat(w, np.cumsum(sizes) - sizes)
+    if not (np.all(w >= 0.0) and np.all(np.abs(sums - 1.0) <= _WEIGHT_TOL)):
+        raise ValueError("weights must be nonnegative and sum to 1")
+    w.setflags(write=False)
+    return pts, w
+
+
+def _set_fields(cb: Codebook, pts: np.ndarray, w: np.ndarray | None) -> None:
+    """Set the fields of the frozen ``cb``; views of a read-only array
+    are read-only themselves."""
+    object.__setattr__(cb, "points", pts)
+    object.__setattr__(cb, "weights", w)
 
 
 @dataclass

@@ -28,9 +28,9 @@ from .model import (
     TwoFactorParams,
     dynamics_to_dict,
     factor_states,
-    spot_and_payoff_of_factor,
     spot_factor,
     standardized_state,
+    variance_lambda,
 )
 from .quantizer import (
     Codebook,
@@ -38,6 +38,7 @@ from .quantizer import (
     has_distinct_rows,
     lloyd_optimize,
     nearest_indices,
+    stacked_codebooks,
 )
 
 __all__ = [
@@ -68,7 +69,12 @@ class QuantTree:
     """Per-date codebooks, transition matrices and payoff values.
 
     The contract starts from a deterministic state, so grid 0 is a single
-    point: every induction ends at ``values[:, 0]`` of date 0.
+    point: every induction ends at ``values[:, 0]`` of date 0.  On
+    construction each matrix must fit its two grids and be row-stochastic
+    (entries ``>= -_ROW_TOL``, row sums within ``_ROW_TOL`` of 1), and
+    each payoff vector must fit its grid and be finite.  Shapes are
+    checked date by date, entries in one pass over every date's entries
+    laid end to end; an error names the first failing date.
     """
 
     params: TwoFactorParams
@@ -93,20 +99,30 @@ class QuantTree:
         self.payoff_values = [
             np.asarray(v, dtype=float).reshape(-1) for v in self.payoff_values
         ]
+        sizes = [g.n_points for g in self.grids]
         for k, t in enumerate(self.transitions):
-            want = (self.grids[k].n_points, self.grids[k + 1].n_points)
+            want = (sizes[k], sizes[k + 1])
             if t.shape != want:
                 raise ValueError(f"transition {k} has shape {t.shape}, want {want}")
-            rows = t.sum(axis=1)
-            # NaN fails every comparison, so a NaN entry fails the check
-            if not (np.all(t >= -_ROW_TOL)
-                    and np.all(np.abs(rows - 1.0) <= _ROW_TOL)):
-                raise ValueError(f"transition {k} is not row-stochastic")
         for k, v in enumerate(self.payoff_values):
-            if v.shape != (self.grids[k].n_points,):
+            if v.shape != (sizes[k],):
                 raise ValueError(f"payoff vector {k} does not match grid {k}")
-            if not np.all(np.isfinite(v)):
-                raise ValueError(f"non-finite payoff at date {k}")
+        # the shapes fit, so every date's entries are checked end to end
+        flat = np.concatenate([np.empty(0)]
+                              + [t.reshape(-1) for t in self.transitions])
+        widths = np.array(sizes, dtype=np.intp)
+        row_len = np.repeat(widths[1:], widths[:-1])
+        starts = np.cumsum(row_len) - row_len
+        # NaN fails every comparison, so a NaN entry fails the check
+        ok = (np.logical_and.reduceat(flat >= -_ROW_TOL, starts)
+              & (np.abs(np.add.reduceat(flat, starts) - 1.0) <= _ROW_TOL))
+        if not ok.all():
+            k = np.repeat(np.arange(n - 1), widths[:-1])[np.argmin(ok)]
+            raise ValueError(f"transition {k} is not row-stochastic")
+        finite = np.isfinite(np.concatenate(self.payoff_values))
+        if not finite.all():
+            k = np.repeat(np.arange(n), widths)[np.argmin(finite)]
+            raise ValueError(f"non-finite payoff at date {k}")
 
     @property
     def n(self) -> int:
@@ -330,7 +346,9 @@ def build_tree(
             k - 1, idx_prev, idx, grids[-1].n_points, grid.n_points))
         grids.append(grid)
         idx_prev = idx
-    grids = [g.with_weights(w) for g, w in zip(grids, _chained(transitions))]
+    grids = stacked_codebooks(np.concatenate([g.points for g in grids]),
+                              [g.n_points for g in grids],
+                              np.concatenate(_chained(transitions)))
     return QuantTree(params, grids, transitions, _payoffs(params, grids))
 
 
@@ -347,15 +365,33 @@ def _payoffs(params: TwoFactorParams, grids: list[Codebook]) -> list[np.ndarray]
 
     The spot is linear in the forward, so the calibration factor
     ``F_k / (w . spot_k)`` is the same for every forward curve: re-marked
-    payoffs need no refit.
+    payoffs need no refit.  All dates' points are computed as one array,
+    with the operations :func:`~swingquant.model.spot_factor` applies
+    date by date, and so to the same bits; only the weighted spot means
+    are taken a date at a time.
     """
-    payoffs = []
-    for k in range(params.n):
-        spot = params.forward[k] * spot_factor(params, k, grids[k].points)
-        spot = spot * (params.forward[k] / float(grids[k].weights @ spot))
-        discount = math.exp(-params.r * k * params.dt)
-        payoffs.append(discount * (spot - params.strikes[k]))
-    return payoffs
+    n = params.n
+    sizes = [g.n_points for g in grids]
+    points = np.concatenate([g.points for g in grids])
+    lam = variance_lambda(params, np.arange(n) * params.dt)
+    spot = np.exp(points[:, 0] + points[:, 1] - np.repeat(0.5 * lam, sizes))
+    spot *= np.repeat(params.forward, sizes)
+    means = [float(g.weights @ s) for g, s in zip(grids, _blocks(spot, sizes))]
+    spot *= np.repeat(params.forward / np.array(means), sizes)
+    discount = [math.exp(-params.r * k * params.dt) for k in range(n)]
+    spot -= np.repeat(params.strikes, sizes)
+    spot *= np.repeat(discount, sizes)
+    return _blocks(spot, sizes)
+
+
+def _blocks(a: np.ndarray, sizes) -> list[np.ndarray]:
+    """Views of the consecutive blocks of ``sizes`` entries (rows) of ``a``."""
+    out = []
+    stop = 0
+    for size in sizes:
+        start, stop = stop, stop + size
+        out.append(a[start:stop])
+    return out
 
 
 def _backward(tree: QuantTree, layout, terminal_rows: int, decisions: bool):
@@ -605,9 +641,13 @@ def extract_and_value_policy(
     are projected to the grids only to look up decisions, payoffs come
     from the exact states.  Those paths are the ``replay`` of
     :func:`policy_replay` for ``(tree, n_paths, seed)``; without one it is
-    simulated here.  What is left per call is a gather of the purchases
-    and the payoffs of the tree's curves, so a cached replay gives the
-    same value and error bit for bit.  Every
+    simulated here.  What is left per call is, date by date, one flat
+    gather of each path's purchase at ``bought * N_k + node`` and the
+    payoff of :func:`~swingquant.model.spot_and_payoff_of_factor`,
+    computed by the same operations in ``n_paths``-long buffers and added
+    in date order.  So the value and error are bit for bit those of a
+    2-d gather at ``(bought - l_min[k], node)`` and a fresh payoff array
+    per date, and a cached replay gives the same ones.  Every
     simulated schedule satisfies the global bounds; a violation would
     mean the purchase-count bookkeeping is broken and raises immediately.
 
@@ -622,12 +662,27 @@ def extract_and_value_policy(
         replay = policy_replay(tree, n_paths, seed)
     replay.check(tree, n_paths)
 
+    params = tree.params
     bought = np.zeros(n_paths, dtype=np.int64)
     value = np.zeros(n_paths)
+    flat = np.empty(n_paths, dtype=np.intp)
+    pay = np.empty(n_paths)
     for k in range(n):
-        _, pay = spot_and_payoff_of_factor(tree.params, k, replay.factors[k])
-        acts = policy.buy[k][bought - policy.l_min[k], replay.nodes[k]]
-        value += acts * pay
+        # The purchase at (bought - l_min, node), gathered flat from the
+        # rows laid end to end.  Counts below the floor l_min never occur;
+        # their rows pad the table so that a path's row is its count.
+        rows, width = policy.buy[k].shape
+        table = np.zeros((policy.l_min[k] + rows) * width, dtype=np.intp)
+        table[policy.l_min[k] * width:] = policy.buy[k].reshape(-1)
+        np.multiply(bought, width, out=flat)
+        flat += replay.nodes[k]
+        acts = np.take(table, flat)
+        # the payoff of spot_and_payoff_of_factor, in one buffer
+        np.multiply(params.forward[k], replay.factors[k], out=pay)
+        pay -= params.strikes[k]
+        pay *= math.exp(-params.r * (k * params.dt))
+        pay *= acts
+        value += pay
         bought += acts
     if not ((bought >= q0.q_lo) & (bought <= q0.q_hi)).all():
         raise AssertionError("simulated schedule violated the global bounds")
@@ -676,10 +731,14 @@ def load_tree(directory, params: TwoFactorParams) -> tuple[QuantTree, dict]:
     Splits the stacked grid points and transitions at the manifest's grid
     sizes, and derives the weights (the date-0 law pushed through the
     transitions) and the payoffs of ``params`` as :func:`build_tree`
-    does.  Raises ``ValueError`` if ``params`` has other dynamics than the
-    saved tree, the manifest is no JSON object or its grid sizes are not
-    one positive integer per date, or an array does not parse or fit
-    those sizes.  Returns ``(tree, manifest)``.
+    does, bit for bit.  Raises ``ValueError`` if ``params`` has other
+    dynamics than the saved tree, the manifest is no JSON object or its
+    grid sizes are not one positive integer per date, an array does not
+    parse or fit those sizes, or the tree fails a check of
+    :class:`~swingquant.quantizer.Codebook` or :class:`QuantTree`.  Those
+    checks run on the loaded arrays as they are stacked, once per tree
+    (:func:`~swingquant.quantizer.stacked_codebooks`), not once per date.
+    Returns ``(tree, manifest)``.
     """
     directory = Path(directory)
     manifest = json.loads((directory / "manifest.json").read_text())
@@ -701,7 +760,7 @@ def load_tree(directory, params: TwoFactorParams) -> tuple[QuantTree, dict]:
             raise ValueError(f"{name}.npy holds {a.dtype} {a.shape}, "
                              f"want float64 {shape}")
     transitions = [t.reshape(a, b) for t, a, b in zip(
-        np.split(flat, np.cumsum(cells)[:-1]), sizes, sizes[1:])]
-    grids = [Codebook(p, w) for p, w in zip(
-        np.split(points, np.cumsum(sizes)[:-1]), _chained(transitions))]
+        _blocks(flat, cells), sizes, sizes[1:])]
+    grids = stacked_codebooks(points, sizes,
+                              np.concatenate(_chained(transitions)))
     return QuantTree(params, grids, transitions, _payoffs(params, grids)), manifest

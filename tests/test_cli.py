@@ -222,6 +222,27 @@ class TestExitCodes:
         assert res.exit_code == 2, res.output
         assert "config error" in res.output
 
+    @pytest.mark.parametrize("command,taken", [
+        (["surface"], "surface.csv"),
+        (["converge", "--nbar", "2"], "converge.csv"),
+        (["simulate", "--paths", "3"], "spots.csv"),
+        (["price"], "cache"),
+    ])
+    def test_refused_output_write(self, tmp_path, command, taken):
+        # a directory where the command writes its file, or a file where
+        # the tree cache's directory goes
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        if taken == "cache":
+            (out / taken).write_text("")
+        else:
+            (out / taken).mkdir()
+        res = run_cli(["--config", str(cfg), *command])
+        assert res.exit_code == 2, res.output
+        assert "output error" in res.output
+        assert "Traceback" not in res.output
+
     @pytest.mark.parametrize("command", ["surface", "price"])
     def test_overflow_is_a_numerical_failure(self, tmp_path, command):
         cfg = write_config(tmp_path, forward=1e308, strike=0.0)
@@ -523,7 +544,8 @@ class TestTreeCache:
         "missing-transition", "truncated-grid", "truncated-transition",
         "nan-grid", "nan-transition", "old-grid-format",
         "grid-sizes-mismatch", "grid-size-not-an-integer",
-        "grid-size-not-positive",
+        "grid-size-not-positive", "duplicate-grid-point",
+        "negative-transition",
     ])
     def test_damaged_entry_rebuilds(self, tmp_path, damage):
         config = write_config(tmp_path, sigma1=0.36, sigma2=1.11, n=4,
@@ -550,6 +572,20 @@ class TestTreeCache:
             npy = cache / f"{target}s.npy"
             array = np.load(npy)
             array.flat[-1] = np.nan
+            np.save(npy, array)
+        elif damage == "duplicate-grid-point":
+            # rows 4..6 are date 2's points
+            npy = cache / "grids.npy"
+            array = np.load(npy)
+            array[5] = array[4]
+            np.save(npy, array)
+        elif damage == "negative-transition":
+            # entries 12..14 are the first row of transition 2; the row
+            # still sums to 1 and the weights stay nonnegative
+            npy = cache / "transitions.npy"
+            array = np.load(npy)
+            array[13] += array[12] + 1e-6
+            array[12] = -1e-6
             np.save(npy, array)
         elif damage == "old-grid-format":
             # the CSV format, one text file per date, under this key

@@ -1,4 +1,5 @@
 """Quantized pricing engine tests."""
+import math
 import tracemalloc
 
 import numpy as np
@@ -16,6 +17,7 @@ from swingquant.contracts import GlobalConstraints, interpolate_on_tile
 from swingquant.model import (
     closed_form_strip,
     factor_states,
+    spot_and_payoff_of_factor,
     standardized_state,
 )
 from swingquant.oracle import price_lattice_bruteforce
@@ -29,6 +31,7 @@ from swingquant.tree import (
     estimate_transitions,
     extract_and_value_policy,
     load_tree,
+    policy_replay,
     premium_surface,
     quantized_dp_price,
     save_tree,
@@ -82,6 +85,27 @@ def exact_policy_value(tree, policy):
     lo, hi = policy.q0.as_tuple()
     assert all(lo <= b <= hi for b in law)
     return total
+
+
+def per_date_policy_value(tree, policy, replay):
+    """``(mc_value, std_err)`` and the purchase counts by the per-date loop
+    the valuation first ran: a 2-d gather and the model's payoff."""
+    n_paths = replay.nodes.shape[1]
+    bought = np.zeros(n_paths, dtype=np.int64)
+    value = np.zeros(n_paths)
+    on_rising_floor = 0  # path-dates where the floor forces a purchase
+    for k in range(tree.n):
+        _, pay = spot_and_payoff_of_factor(tree.params, k, replay.factors[k])
+        row = bought - policy.l_min[k]
+        floor_next = max(policy.q0.q_lo - (tree.n - k - 1), 0)
+        if floor_next > policy.l_min[k]:
+            on_rising_floor += int((row == 0).sum())
+        acts = policy.buy[k][row, replay.nodes[k]]
+        value += acts * pay
+        bought += acts
+    stats = (float(value.mean()),
+             float(value.std(ddof=1) / math.sqrt(n_paths)))
+    return stats, bought, on_rising_floor
 
 
 @st.composite
@@ -236,6 +260,39 @@ class TestQuantTree:
         bad[1][0, 0] = np.nan
         with pytest.raises(ValueError, match="row-stochastic"):
             QuantTree(tree.params, tree.grids, bad, tree.payoff_values)
+
+    def test_row_sum_off_by_more_than_the_tolerance(self):
+        tree = random_quant_tree(np.random.default_rng(5), n=4, max_points=3)
+        tol = tree_module._ROW_TOL
+        near = [t.copy() for t in tree.transitions]
+        near[1][-1, -1] += 0.5 * tol
+        QuantTree(tree.params, tree.grids, near, tree.payoff_values)
+        bad = [t.copy() for t in tree.transitions]
+        bad[2][0, 0] += 2 * tol
+        bad[1][-1, -1] -= 2 * tol
+        # the first failing date names the error
+        with pytest.raises(ValueError,
+                           match="^transition 1 is not row-stochastic$"):
+            QuantTree(tree.params, tree.grids, bad, tree.payoff_values)
+
+    def test_negative_entry_rejected(self):
+        tree = random_quant_tree(np.random.default_rng(5), n=4, max_points=3)
+        k = next(k for k, t in enumerate(tree.transitions) if t.shape[1] > 1)
+        bad = [t.copy() for t in tree.transitions]
+        bad[k][-1, 1] += bad[k][-1, 0] + 1e-6  # the row still sums to 1
+        bad[k][-1, 0] = -1e-6
+        with pytest.raises(ValueError,
+                           match=f"^transition {k} is not row-stochastic$"):
+            QuantTree(tree.params, tree.grids, bad, tree.payoff_values)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_payoff_rejected(self, value):
+        tree = random_quant_tree(np.random.default_rng(5), n=4, max_points=3)
+        payoffs = [v.copy() for v in tree.payoff_values]
+        payoffs[3][-1] = value
+        payoffs[2][0] = value
+        with pytest.raises(ValueError, match="^non-finite payoff at date 2$"):
+            QuantTree(tree.params, tree.grids, tree.transitions, payoffs)
 
     @pytest.mark.parametrize("weights", [None, (0.5, 0.5), (1.0, 0.0)])
     def test_multi_point_root_rejected(self, weights):
@@ -417,6 +474,20 @@ class TestPolicy:
         for arr in policy.buy:
             assert set(np.unique(arr)).issubset({0, 1})
 
+    def test_flat_gather_equals_the_per_date_loop(self, small_tree):
+        q = gc(4, 6)  # the floor rises over the last four dates
+        _, policy = quantized_dp_price(small_tree, q)
+        replay = policy_replay(small_tree, 3_000, 21)
+        want, bought, on_rising_floor = per_date_policy_value(
+            small_tree, policy, replay)
+        assert (bought == 6).any()  # the cap binds
+        assert on_rising_floor > 0  # and the floor forces purchases
+        for cached in (None, replay):
+            got = extract_and_value_policy(small_tree, policy, q,
+                                           n_paths=3_000, seed=21,
+                                           replay=cached)
+            assert got == want
+
     def test_rejects_a_policy_for_other_bounds(self, small_tree):
         _, policy = quantized_dp_price(small_tree, gc(3, 7))
         with pytest.raises(ValueError, match="bounds"):
@@ -489,7 +560,7 @@ class TestPersistence:
         raw = random_quant_tree(np.random.default_rng(seed), n=len(sizes),
                                 max_points=3)
         params, transitions = raw.params, raw.transitions
-        grids = [g.with_weights(w) for g, w in
+        grids = [Codebook(g.points, w) for g, w in
                  zip(raw.grids, tree_module._chained(transitions))]
         tree = QuantTree(params, grids, transitions,
                          tree_module._payoffs(params, grids))
@@ -501,6 +572,21 @@ class TestPersistence:
             assert np.array_equal(a.weights, b.weights)
         for a, b in zip(back.transitions, tree.transitions, strict=True):
             assert np.array_equal(a, b)
+        for a, b in zip(back.payoff_values, tree.payoff_values, strict=True):
+            assert np.array_equal(a, b)
+
+    def test_round_trip_of_a_degenerate_tree(self, tmp_path):
+        # every date's one point is (0, 0): equal points on different
+        # dates are not duplicates
+        params = make_params(n=6, sigma1=0.0, sigma2=0.0)
+        tree = build_tree(params, n_bar=3, n_samples=1_000, seed=4)
+        for g in tree.grids:
+            assert np.array_equal(g.points, np.zeros((1, 2)))
+        save_tree(tree, tmp_path)
+        back, _ = load_tree(tmp_path, params)
+        for a, b in zip(back.grids, tree.grids, strict=True):
+            assert np.array_equal(a.points, b.points)
+            assert np.array_equal(a.weights, b.weights)
         for a, b in zip(back.payoff_values, tree.payoff_values, strict=True):
             assert np.array_equal(a, b)
 
