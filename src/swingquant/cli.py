@@ -51,6 +51,7 @@ from .tree import (
     _check_fit,
     build_tree,
     extract_and_value_policy,
+    integer_prices,
     load_tree,
     policy_replay,
     premium_surface,
@@ -349,27 +350,29 @@ def run_price(cfg: RunConfig, q_lo=None, q_hi=None, with_policy=True) -> dict:
         "std_err": None,
     }
     t0 = time.perf_counter()
-    if q.is_integer:
+    if q.is_integer and with_policy:
         price, policy = quantized_dp_price(tree, q)
         timings["dp_seconds"] = time.perf_counter() - t0
-        if with_policy:
-            replay, replay_timings = ensure_replay(
-                cfg, tree, cfg.out_dir / "cache" / manifest["cache_key"])
-            timings.update(replay_timings)
-            t0 = time.perf_counter()
-            mc_value, std_err = extract_and_value_policy(
-                tree, policy, q, cfg.policy_paths, cfg.policy_seed, replay
-            )
-            timings["policy_seconds"] = time.perf_counter() - t0
-            report["mc_policy_value"] = mc_value
-            report["std_err"] = std_err
+        replay, replay_timings = ensure_replay(
+            cfg, tree, cfg.out_dir / "cache" / manifest["cache_key"])
+        timings.update(replay_timings)
+        t0 = time.perf_counter()
+        mc_value, std_err = extract_and_value_policy(
+            tree, policy, q, cfg.policy_paths, cfg.policy_seed, replay
+        )
+        timings["policy_seconds"] = time.perf_counter() - t0
+        report["mc_policy_value"] = mc_value
+        report["std_err"] = std_err
+    elif q.is_integer:
+        (price,) = integer_prices(tree, [q])  # no policy, so no decisions
+        timings["dp_seconds"] = time.perf_counter() - t0
     else:
+        # the tile's three corners, priced together in one induction
         corners = locate_tile(q, tree.n).vertices
-        surface = PremiumSurface(tree.n, {
-            (i, j): quantized_dp_price(tree, GlobalConstraints(i, j))[0]
-            for i, j in corners
-        })
-        price = interpolate_on_tile(surface, q)
+        prices = integer_prices(
+            tree, [GlobalConstraints(i, j) for i, j in corners])
+        price = interpolate_on_tile(
+            PremiumSurface(tree.n, dict(zip(corners, prices))), q)
         timings["dp_seconds"] = time.perf_counter() - t0
     if not math.isfinite(price):
         raise ArithmeticError(f"non-finite price {price}")
@@ -411,7 +414,7 @@ def run_converge(cfg: RunConfig, n_bars: list[int]) -> tuple[Path, list[dict]]:
     for n_bar in n_bars:
         t0 = time.perf_counter()
         tree, _, _ = ensure_tree(replace(cfg, n_bar=n_bar))
-        price, _ = quantized_dp_price(tree, GlobalConstraints(0.0, float(n)))
+        (price,) = integer_prices(tree, [GlobalConstraints(0.0, float(n))])
         wall = time.perf_counter() - t0
         rows.append({
             "N_bar": n_bar,

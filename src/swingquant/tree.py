@@ -49,6 +49,7 @@ __all__ = [
     "estimate_transitions",
     "build_tree",
     "quantized_dp_price",
+    "integer_prices",
     "premium_surface",
     "policy_replay",
     "extract_and_value_policy",
@@ -398,18 +399,23 @@ def _backward(tree: QuantTree, layout, terminal_rows: int, decisions: bool):
     """The backward induction, over ``(row, node)`` arrays.
 
     The caller lays out the rows of each date: ``layout(k)`` returns
-    ``(same, child0_tail, child1, must_buy, cannot_buy)``.  Without a
-    purchase, each row ``r < same`` reaches row ``r`` of date ``k + 1``,
-    so its candidate is that row of the continuation values as it
-    stands and needs no gather; row ``same + i`` reaches row
-    ``child0_tail[i]``.  ``child1`` holds the row each row reaches with a
-    purchase.  ``must_buy`` (rows ``>= same``) and ``cannot_buy`` list
-    the few rows whose no-purchase or purchase is forbidden; the child of
-    a forbidden choice may be out of range, as gathers clip.  Date ``n``
-    has ``terminal_rows`` rows of value zero.
+    ``(splits, same, child0_tail, child1, must_buy, cannot_buy)``.  The
+    rows of date ``k + 1`` form blocks, starting at row 0 and at the rows
+    ``splits``, and each block's continuation is its own matmul: BLAS may
+    round a row differently by where it sits in a larger product, and a
+    block keeps the bits it has when priced alone.  ``child1`` holds the
+    row each row reaches with a purchase.  Without one, each row
+    ``r < same`` reaches row ``r`` of date ``k + 1``, so its candidate is
+    that row of the continuation values as it stands and needs no
+    gather; row ``same + i`` reaches row ``child0_tail[i]``.
+    ``must_buy`` (rows ``>= same``) and ``cannot_buy`` list the few rows
+    whose no-purchase or purchase is forbidden; the child of a forbidden
+    choice may be out of range, as gathers clip.  Date ``n`` has
+    ``terminal_rows`` rows of value zero.
 
-    A date thus costs one matmul, one gather, one payoff add and one
-    maximum over its ``(rows, N_k)`` arrays, and a gather of the tail.
+    A date thus costs one matmul per block, and one gather, one payoff
+    add and one maximum over its ``(rows, N_k)`` arrays, and a gather of
+    the tail.
 
     Yields ``(k, values, buy)`` from date ``n - 1`` down to 0: ``values``
     of shape ``(rows, N_k)`` and, with ``decisions``, the int8 0/1
@@ -426,11 +432,11 @@ def _backward(tree: QuantTree, layout, terminal_rows: int, decisions: bool):
     values = np.zeros((terminal_rows, tree.width(n - 1)))
     for k in range(n - 1, -1, -1):
         width = tree.width(k)
+        splits, same, child0_tail, child1, must_buy, cannot_buy = layout(k)
         cont = values
         if k < n - 1:
-            cont = np.matmul(values, tree.transitions[k].T, out=_scratch(
-                pool, 0, (len(values), width)))
-        same, child0_tail, child1, must_buy, cannot_buy = layout(k)
+            cont = _scratch(pool, 0, (len(values), width))
+            _continuation(values, tree.transitions[k], splits, cont)
         if any(r in cannot_buy for r in must_buy):
             raise ArithmeticError("a state admits no purchase")
         rows = len(child1)
@@ -458,6 +464,17 @@ def _backward(tree: QuantTree, layout, terminal_rows: int, decisions: bool):
         if k == 0 and not np.isfinite(values).all():
             raise ArithmeticError("the induction overflowed")
         yield k, values, buy
+
+
+def _continuation(values: np.ndarray, transition: np.ndarray, splits,
+                  out: np.ndarray) -> None:
+    """``values @ transition.T`` into ``out``, one product per block of
+    rows, the blocks starting at row 0 and at the rows ``splits``."""
+    if not splits:  # one block, without the slicing
+        np.matmul(values, transition.T, out=out)
+        return
+    for a, b in zip((0, *splits), (*splits, len(values))):
+        np.matmul(values[a:b], transition.T, out=out[a:b])
 
 
 def _scratch(pool: list[np.ndarray], i: int, shape: tuple[int, int]) -> np.ndarray:
@@ -494,6 +511,81 @@ def _clamped_integer(q0: GlobalConstraints, n: int) -> GlobalConstraints:
     return q0
 
 
+def _count_layouts(n: int, bounds: list[GlobalConstraints]):
+    """``layout`` for :func:`_backward` over the purchase counts of several
+    contracts, one block of rows per integer bound pair, and their floors.
+
+    Block ``b``, for bounds ``(lo, hi)``, holds at date ``k`` the counts
+    ``l_min(k) .. min(k, hi)`` with ``l_min(k) = (lo - (n - k))^+`` (the
+    floor must stay reachable), after the rows of blocks ``< b``.  Count
+    ``l`` reaches ``l`` without a purchase and ``l + 1`` with one, in the
+    same block at ``k + 1``.  Block 0 keeps its rows while its floor
+    stays, so they need no gather; the other rows are the tail.  Where a
+    floor rises, its block's first row must buy; once a cap is reached,
+    its block's last row cannot.  Date ``n`` has ``hi - lo + 1`` rows a
+    block.  The children of every date are built before the pass, as
+    arrays over the dates laid end to end, and each date takes slices of
+    them, so the per-date work does not grow with the blocks.  Returns
+    ``(layout, l_min, terminal_rows)``, ``l_min`` of shape
+    ``(n + 1, blocks)``.
+    """
+    lo = np.array([int(q.q_lo) for q in bounds])
+    hi = np.array([int(q.q_hi) for q in bounds])
+    dates = np.arange(n + 1)[:, None]
+    l_min = np.maximum(lo - (n - dates), 0)      # (n + 1, blocks)
+    l_max = np.minimum(dates, hi)
+    rows = l_max - l_min + 1
+    first = np.cumsum(rows, axis=1) - rows       # each block's first row
+    rises = l_min[1:] > l_min[:-1]
+    capped = l_max[:-1] == hi
+    # Dates 0 .. n - 1 laid end to end, block after block: row i of
+    # block (k, b), count l_min + i, sits at flat index start + i and
+    # reaches count l_min + i + 1 with a purchase, row head + i of date
+    # k + 1, so its child is its flat index plus head - start.
+    size = rows[:-1].reshape(-1)
+    stop = np.cumsum(size)
+    start = stop - size
+    head = (first[1:] + l_min[:-1] + 1 - l_min[1:]).reshape(-1)
+    child1 = np.repeat(head - start, size)
+    child1 += np.arange(len(child1))
+    child0 = child1 - 1
+    date_stop = stop[len(bounds) - 1::len(bounds)]
+    date_start = date_stop - rows[:-1].sum(axis=1)
+    date_head = date_start + np.where(rises[:, 0], 0, rows[:-1, 0])
+    must = first[:-1][rises].tolist()
+    cannot = (first + rows - 1)[:-1][capped].tolist()
+    must_at = np.cumsum(rises.sum(axis=1)).tolist()
+    cannot_at = np.cumsum(capped.sum(axis=1)).tolist()
+    layouts = [
+        (splits, h - s, child0[h:e], child1[s:e], must[m0:m1], cannot[c0:c1])
+        for splits, s, h, e, m0, m1, c0, c1 in zip(
+            first[1:, 1:].tolist(), date_start.tolist(), date_head.tolist(),
+            date_stop.tolist(), [0] + must_at, must_at,
+            [0] + cannot_at, cannot_at)
+    ]
+    return layouts.__getitem__, l_min, int((hi - lo + 1).sum())
+
+
+def integer_prices(tree: QuantTree,
+                   bounds: list[GlobalConstraints]) -> list[float]:
+    """Prices of several integer bound pairs, from one backward induction.
+
+    Each pair's purchase counts are a block of the induction's rows, and
+    each block's values are bit for bit those :func:`quantized_dp_price`
+    computes for that pair alone.  No policy is kept.  Caps beyond the
+    horizon are clamped and non-integer bounds rejected as there.
+    """
+    if not bounds:
+        return []
+    n = tree.n
+    layout, _, terminal_rows = _count_layouts(
+        n, [_clamped_integer(q, n) for q in bounds])
+    for _, values, _ in _backward(tree, layout, terminal_rows, decisions=False):
+        pass  # the loop ends on date 0
+    # date 0 has one row a block: no purchase yet, at the root point
+    return values[:, 0].tolist()
+
+
 def quantized_dp_price(
     tree: QuantTree, q0: GlobalConstraints
 ) -> tuple[float, Policy]:
@@ -502,34 +594,19 @@ def quantized_dp_price(
     Backward induction on the cumulated-purchase axis: before date ``k``
     the feasible purchase counts are ``l_min(k) .. min(k, q0_hi)``, with
     ``l_min(k) = (q0_lo - (n - k))^+`` (the floor must stay reachable), and
-    each state either keeps ``l`` or moves to ``l + 1``.  Returns the
-    price, the value of no purchase so far at the tree's single root
-    point, and the 0/1 policy.  Non-integer bounds are rejected; price
-    those from :func:`premium_surface` via tile interpolation.
+    each state either keeps ``l`` or moves to ``l + 1``; it is the
+    one-block case of :func:`integer_prices`.  Returns the price, the
+    value of no purchase so far at the tree's single root point, and the
+    0/1 policy.  Non-integer bounds are rejected; price those from
+    :func:`premium_surface` via tile interpolation.
     """
     n = tree.n
     q0 = _clamped_integer(q0, n)
-    lo0, hi0 = int(q0.q_lo), int(q0.q_hi)
-    dates = np.arange(n + 1)
-    l_min = np.maximum(lo0 - (n - dates), 0)
-    l_max = np.minimum(dates, hi0)
-
-    lows, highs = l_min.tolist(), l_max.tolist()
-    below = np.arange(-1, n + 2)  # below[r] = r - 1
-
-    def layout(k):
-        rows = highs[k] - lows[k] + 1
-        cannot_buy = (rows - 1,) if highs[k] == hi0 else ()
-        if lows[k + 1] > lows[k]:
-            # the floor rises: count l is row r at date k and row r - 1
-            # at k + 1, and row 0 must buy to keep the floor reachable
-            return 0, below[:rows], below[1:rows + 1], (0,), cannot_buy
-        return rows, below[:0], below[2:rows + 2], (), cannot_buy
-
+    layout, l_min, terminal_rows = _count_layouts(n, [q0])
     buy: list[np.ndarray] = [None] * n
-    for k, values, b in _backward(tree, layout, hi0 - lo0 + 1, decisions=True):
+    for k, values, b in _backward(tree, layout, terminal_rows, decisions=True):
         buy[k] = b
-    return float(values[0, 0]), Policy(q0, l_min[:n], buy)
+    return float(values[0, 0]), Policy(q0, l_min[:n, 0], buy)
 
 
 def _pair_layouts(n: int):
@@ -555,7 +632,8 @@ def _pair_layouts(n: int):
         m = n - k
         same = m * (m + 1) // 2
         rows = same + m + 1
-        return same, own[same - m:same + 1], child1[:rows], (rows - 1,), (0,)
+        return ((), same, own[same - m:same + 1], child1[:rows], (rows - 1,),
+                (0,))
 
     return layout
 

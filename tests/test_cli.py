@@ -29,6 +29,7 @@ from swingquant.contracts import (
     GlobalConstraints,
     PremiumSurface,
     interpolate_on_tile,
+    locate_tile,
 )
 from swingquant.model import simulate_factor_paths, spot_and_payoff
 from swingquant.oracle import price_lattice_dp
@@ -117,11 +118,45 @@ class TestPriceCommand:
             assert json.loads(res.output)["price"] == pytest.approx(
                 want, rel=1e-11, abs=1e-11)
 
+    def test_interpolated_price_is_the_tile_of_its_corners(self, tmp_path):
+        # the three corners, priced together, give the price that
+        # interpolating each corner's own induction gives, bit for bit
+        path = write_config(tmp_path, sigma1=0.36, sigma2=1.11, n=6, n_bar=5,
+                            n_samples=3000)
+        bounds = [GlobalConstraints(lo, hi) for lo, hi in (
+            (0.5, 2.5), (1.25, 4.75), (3.5, 3.75), (5.5, 6.0), (0.0, 5.5),
+            (2.0, 2.5))]
+        prices = []
+        for q in bounds:
+            res = run_cli(["--config", str(path), "price", "--qmin",
+                           str(q.q_lo), "--qmax", str(q.q_hi)])
+            assert res.exit_code == 0, res.output
+            prices.append(json.loads(res.output)["price"])
+        cfg = load_config(path)
+        tree_, _ = load_tree(cfg.out_dir / "cache" / tree_cache_key(cfg),
+                             cfg.params)
+        for q, price in zip(bounds, prices):
+            surface = PremiumSurface(6, {
+                (i, j): quantized_dp_price(tree_, GlobalConstraints(i, j))[0]
+                for i, j in locate_tile(q, 6).vertices})
+            assert price == interpolate_on_tile(surface, q)
+
     def test_no_policy_flag(self, tmp_path):
         cfg = write_config(tmp_path)
         res = run_cli(["--config", str(cfg), "price", "--no-policy"])
         assert res.exit_code == 0
         assert json.loads(res.output)["mc_policy_value"] is None
+
+    def test_no_policy_price_is_the_policy_quote_price(self, tmp_path):
+        # the price-only induction keeps no decisions, and the same bits
+        cfg = write_config(tmp_path, sigma1=0.36, sigma2=1.11, n=6, n_bar=5,
+                           n_samples=3000, q=(2.0, 5.0))
+        prices = []
+        for args in (["price"], ["price", "--no-policy"]):
+            res = run_cli(["--config", str(cfg)] + args)
+            assert res.exit_code == 0, res.output
+            prices.append(json.loads(res.output)["price"])
+        assert prices[0] == prices[1]
 
     def test_env_var_config(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -477,6 +512,28 @@ class TestDeterminism:
         # one cache directory: grids, transitions, manifest, and the policy
         # replay's two arrays
         assert len(digests[0]) == 5
+
+    def test_interpolated_report_ignores_threads(self, tmp_path):
+        # the tile's corners priced in one induction, one product per
+        # corner, with 1 and 2 BLAS threads in a fresh interpreter
+        path = write_config(tmp_path, n=8, sigma1=0.36, sigma2=1.11,
+                            n_bar=16, n_samples=20_000)
+        src = str(Path(swingquant.__file__).resolve().parents[1])
+        reports = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, OMP_NUM_THREADS=threads,
+                       OPENBLAS_NUM_THREADS=threads)
+            res = subprocess.run(
+                [sys.executable, "-m", "swingquant.cli", "--config", str(path),
+                 "--out", str(tmp_path / f"threads{threads}"), "price",
+                 "--qmin", "2.5", "--qmax", "6.25"],
+                env=env, capture_output=True, text=True, timeout=300)
+            assert res.returncode == 0, res.stderr
+            report = json.loads(res.stdout)
+            assert report["interpolated"] is True
+            del report["timings"]
+            reports.append(report)
+        assert reports[0] == reports[1]
 
 
 class TestTreeCache:

@@ -13,7 +13,7 @@ from helpers import (
     random_quant_tree,
     tree_as_lattice,
 )
-from swingquant.contracts import GlobalConstraints, interpolate_on_tile
+from swingquant.contracts import GlobalConstraints, Tile, interpolate_on_tile
 from swingquant.model import (
     closed_form_strip,
     factor_states,
@@ -30,6 +30,7 @@ from swingquant.tree import (
     build_tree,
     estimate_transitions,
     extract_and_value_policy,
+    integer_prices,
     load_tree,
     policy_replay,
     premium_surface,
@@ -307,7 +308,7 @@ class TestQuantTree:
         child = np.zeros(1, dtype=np.intp)
 
         def layout(k):  # row 0 must buy and cannot
-            return 0, child, child, (0,), (0,)
+            return (), 0, child, child, (0,), (0,)
 
         with pytest.raises(ArithmeticError, match="admits no purchase"):
             list(tree_module._backward(tree, layout, 1, decisions=False))
@@ -376,6 +377,59 @@ class TestQuantizedDP:
         a, _ = quantized_dp_price(small_tree, gc(0, 10))
         b, _ = quantized_dp_price(small_tree, gc(0, 15))
         assert a == b
+
+
+def stacked_pair_sets(n):
+    """Bound pair sets to price in one induction on an ``n``-date tree.
+
+    The three extreme corners, every tile's three corners (the diagonal
+    tiles, the tiles at the cap ``n``, and with ``i >= 1`` floors that
+    rise before the last date) and every integer pair at once.
+    """
+    sets = [[(0, 0), (n, n), (0, n)], integer_pairs(n)]
+    for j in range(n):
+        for i in range(j + 1):
+            sets.append(list(Tile(i, j, "upper").vertices))
+            if i < j:
+                sets.append(list(Tile(i, j, "lower").vertices))
+    return sets
+
+
+def assert_stacked_equals_single(tree):
+    for pairs in stacked_pair_sets(tree.n):
+        bounds = [gc(i, j) for i, j in pairs]
+        want = [quantized_dp_price(tree, q)[0] for q in bounds]
+        assert integer_prices(tree, bounds) == want, pairs
+
+
+class TestStackedPrices:
+    """Several bound pairs priced in one induction, one block of rows
+    each, against each pair's own induction, bit for bit."""
+
+    def test_random_trees(self):
+        rng = np.random.default_rng(31)
+        for n in (1, 2, 3, 4, 5, 6):
+            for _ in range(4):
+                assert_stacked_equals_single(
+                    random_quant_tree(rng, n=n, max_points=4))
+
+    def test_built_tree(self):
+        # at N_bar 16 one matmul over the stacked rows rounds some rows
+        # differently from each block's own product
+        tree = build_tree(make_params(n=12), n_bar=16, n_samples=20_000,
+                          seed=5)
+        assert_stacked_equals_single(tree)
+
+    def test_caps_beyond_the_horizon_are_clamped(self, small_tree):
+        want = [quantized_dp_price(small_tree, gc(i, 10))[0] for i in (0, 3)]
+        assert integer_prices(small_tree, [gc(0, 15), gc(3, 10.0)]) == want
+
+    def test_non_integer_rejected(self, small_tree):
+        with pytest.raises(ValueError):
+            integer_prices(small_tree, [gc(1, 2), gc(0.5, 2.0)])
+
+    def test_no_bounds_no_prices(self, small_tree):
+        assert integer_prices(small_tree, []) == []
 
 
 class TestKernelProperties:
