@@ -53,9 +53,9 @@ from .tree import (
     extract_and_value_policy,
     integer_prices,
     load_tree,
-    policy_replay,
     premium_surface,
     quantized_dp_price,
+    save_policy_replay,
     save_tree,
 )
 
@@ -296,31 +296,37 @@ def ensure_replay(cfg: RunConfig, tree: QuantTree,
     The replay lives beside the tree, in
     ``replay-<policy_seed>-<policy_paths>/`` (``nodes.npy`` and
     ``factors.npy``), so it goes with the tree when that is rebuilt.  It
-    is published as the tree is (:func:`_publish`); an entry that fails
-    to load or does not fit the tree is deleted and rebuilt.  A key keeps
-    one replay: publishing one deletes the key's other ``replay-*``
-    entries, finished or partial, under the caller's output lock.  Returns
-    ``(replay, timings)``, with ``replay_load_seconds`` on a hit and
-    ``replay_build_seconds`` otherwise.
+    is published as the tree is (:func:`_publish`), its factors streamed
+    into the file date by date (:func:`save_policy_replay`).  Either way
+    the replay returned holds the nodes in memory and reads its factors
+    from the entry's file, a block of dates at a time, as it is valued.
+    A hit loads the nodes and reads only the header of ``factors.npy``;
+    an entry that fails to load or does not fit the tree
+    (:meth:`PolicyReplay.check`: the nodes, and the factors' format,
+    dtype, order, shape and file size) is deleted and rebuilt.  A key
+    keeps one replay: publishing one deletes the key's other
+    ``replay-*`` entries, finished or partial, under the caller's output
+    lock.  Returns ``(replay, timings)``, with ``replay_load_seconds`` on
+    a hit and ``replay_build_seconds`` otherwise.
     """
     entry = cache_dir / f"replay-{cfg.policy_seed}-{cfg.policy_paths}"
     t0 = time.perf_counter()
     if entry.is_dir():
         try:
             replay = PolicyReplay(np.load(entry / "nodes.npy"),
-                                  np.load(entry / "factors.npy"))
+                                  entry / "factors.npy")
             replay.check(tree, cfg.policy_paths)
             return replay, {"replay_load_seconds": time.perf_counter() - t0}
         except DAMAGED_ENTRY as exc:
             log.warning("replay %s rejected: %s; rebuilding", entry, exc)
             shutil.rmtree(entry)
-    replay = policy_replay(tree, cfg.policy_paths, cfg.policy_seed)
     with _publish(entry) as partial:
-        np.save(partial / "nodes.npy", replay.nodes)
-        np.save(partial / "factors.npy", replay.factors)
+        nodes = save_policy_replay(tree, cfg.policy_paths, cfg.policy_seed,
+                                   partial).nodes
     for other in cache_dir.glob("replay-*"):
         if other != entry:
             shutil.rmtree(other)
+    replay = PolicyReplay(nodes, entry / "factors.npy")
     return replay, {"replay_build_seconds": time.perf_counter() - t0}
 
 

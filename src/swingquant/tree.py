@@ -15,9 +15,12 @@ and degenerate-volatility models collapse to a single point per date.
 """
 from __future__ import annotations
 
+import io
 import json
 import logging
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -52,6 +55,7 @@ __all__ = [
     "integer_prices",
     "premium_surface",
     "policy_replay",
+    "save_policy_replay",
     "extract_and_value_policy",
     "save_tree",
     "load_tree",
@@ -655,6 +659,42 @@ def premium_surface(tree: QuantTree) -> PremiumSurface:
                                                values[:, 0].tolist())))
 
 
+# The bytes of factor rows a file-backed replay reads at a time.  The
+# buffer is fresh memory on a process's first warm quote: at 1 MiB its
+# page faults cost about 1 ms of an 8 ms quote on a 30-date book (two
+# shared vCPUs), and 256 KiB blocks read a 365-date replay as fast.
+_BLOCK_BYTES = 1 << 18
+
+
+def _factors_header(shape: tuple[int, int]) -> bytes:
+    """The ``.npy`` header ``np.save`` writes for float64 ``shape`` in C order."""
+    buf = io.BytesIO()
+    np.lib.format.write_array_header_1_0(buf, {
+        "descr": np.lib.format.dtype_to_descr(np.dtype(np.float64)),
+        "fortran_order": False, "shape": tuple(int(d) for d in shape)})
+    return buf.getvalue()
+
+
+@contextmanager
+def _factors_file(path, shape: tuple[int, int]):
+    """The ``.npy`` file of a replay's factors, open at its first row.
+
+    Reads only the header, and raises ``ValueError`` unless it is byte
+    for byte that of :func:`_factors_header` (so the format version,
+    float64, C order and ``shape``; a header laid out otherwise fails
+    too) and the file is exactly that header and its rows long.
+    """
+    header = _factors_header(shape)
+    want = len(header) + 8 * math.prod(shape)
+    with open(path, "rb") as f:
+        got = f.read(len(header))
+        size = os.fstat(f.fileno()).st_size
+        if got != header or size != want:
+            raise ValueError(f"{path} has header {got!r} and {size} bytes; "
+                             f"want {header!r} and {want} bytes")
+        yield f
+
+
 @dataclass(frozen=True)
 class PolicyReplay:
     """The part of a policy valuation that no bound depends on.
@@ -665,42 +705,106 @@ class PolicyReplay:
     spot factor (:func:`~swingquant.model.spot_factor`).  Both follow from
     the tree's dynamics and grids and the replay's seed and path count
     alone, so one replay serves every bound pair and every curve.
+    ``factors`` is either that float64 ``(n, n_paths)`` array or the path
+    of the ``.npy`` file that holds it (:func:`save_policy_replay`); a
+    file is read a block of dates at a time (:meth:`factor_rows`), so its
+    factors are never all in memory.
     """
 
     nodes: np.ndarray
-    factors: np.ndarray
+    factors: np.ndarray | Path
 
     def check(self, tree: QuantTree, n_paths: int) -> None:
-        """Raise ``ValueError`` unless this replay fits ``tree``."""
+        """Raise ``ValueError`` unless this replay fits ``tree``.
+
+        Of a factor file, only the header and the size are read.
+        """
         shape = (tree.n, n_paths)
-        if self.nodes.shape != shape or self.factors.shape != shape:
-            raise ValueError(f"replay arrays {self.nodes.shape} and "
-                             f"{self.factors.shape}, want {shape}")
-        if self.nodes.dtype.kind != "u" or self.factors.dtype != np.float64:
-            raise ValueError(f"replay dtypes {self.nodes.dtype} and "
-                             f"{self.factors.dtype}, want unsigned and float64")
+        if self.nodes.shape != shape or self.nodes.dtype.kind != "u":
+            raise ValueError(f"replay nodes {self.nodes.dtype} "
+                             f"{self.nodes.shape}, want unsigned {shape}")
+        if not isinstance(self.factors, np.ndarray):
+            with _factors_file(self.factors, shape):
+                pass
+        elif self.factors.shape != shape or self.factors.dtype != np.float64:
+            raise ValueError(f"replay factors {self.factors.dtype} "
+                             f"{self.factors.shape}, want float64 {shape}")
         widths = np.array([g.n_points for g in tree.grids])
         if np.any(self.nodes.max(axis=1) >= widths):
             raise ValueError("replay node beyond its grid")
+
+    def factor_rows(self):
+        """Yield each date's factor row, in date order.
+
+        A factor file is read into one reused buffer of ``_BLOCK_BYTES``
+        (or one date's row, if that is more), a block of dates at a time,
+        so a row holds its values only until the next one is drawn.  A
+        file that ends early raises ``EOFError``.
+        """
+        if isinstance(self.factors, np.ndarray):
+            yield from self.factors
+            return
+        n, n_paths = self.nodes.shape
+        with _factors_file(self.factors, self.nodes.shape) as f:
+            dates = min(n, max(1, _BLOCK_BYTES // (8 * n_paths)))
+            buffer = np.empty((dates, n_paths))
+            for k0 in range(0, n, dates):
+                block = buffer[:n - k0]
+                if f.readinto(block) != block.nbytes:
+                    raise EOFError(f"{self.factors} ends before date {n}")
+                yield from block
+
+
+def _replay_dates(tree: QuantTree, n_paths: int, seed: int, nodes: np.ndarray):
+    """Simulate the replay's paths date by date (plain i.i.d. sampling).
+
+    Fills ``nodes[k]`` and yields the date's unit spot factors; the paths
+    stop at date ``n - 1``, so no path array is held.
+    """
+    params = tree.params
+    for k, state in zip(range(tree.n), factor_states(params, n_paths, seed)):
+        z = state * params.vols
+        nodes[k] = nearest_indices(z, tree.grids[k])
+        yield spot_factor(params, k, z)
+
+
+def _replay_nodes(tree: QuantTree, n_paths: int) -> np.ndarray:
+    widest = max(g.n_points for g in tree.grids)
+    return np.empty((tree.n, n_paths), dtype=np.min_scalar_type(widest - 1))
 
 
 def policy_replay(tree: QuantTree, n_paths: int, seed: int) -> PolicyReplay:
     """Simulate ``n_paths`` exact-model paths and keep what a valuation reads.
 
-    Streams the paths date by date (:func:`~swingquant.model.factor_states`,
-    plain i.i.d. sampling) and stops at date ``n - 1``, so no path array
-    is held.
+    Streams the paths date by date (:func:`~swingquant.model.factor_states`)
+    into the replay's two in-memory arrays.
     """
-    params = tree.params
-    n = tree.n
-    widest = max(g.n_points for g in tree.grids)
-    nodes = np.empty((n, n_paths), dtype=np.min_scalar_type(widest - 1))
-    factors = np.empty((n, n_paths))
-    for k, state in zip(range(n), factor_states(params, n_paths, seed)):
-        z = state * params.vols
-        nodes[k] = nearest_indices(z, tree.grids[k])
-        factors[k] = spot_factor(params, k, z)
+    nodes = _replay_nodes(tree, n_paths)
+    factors = np.empty((tree.n, n_paths))
+    for k, row in enumerate(_replay_dates(tree, n_paths, seed, nodes)):
+        factors[k] = row
     return PolicyReplay(nodes, factors)
+
+
+def save_policy_replay(tree: QuantTree, n_paths: int, seed: int,
+                       directory) -> PolicyReplay:
+    """The replay of :func:`policy_replay`, saved into ``directory``.
+
+    Writes ``factors.npy`` as the paths are simulated, its header first
+    and then one date's row at a time, and ``nodes.npy`` at the end; both
+    files are byte for byte ``np.save`` of :func:`policy_replay`'s
+    arrays, but no float64 ``(n, n_paths)`` array is held.  Returns the
+    replay with the nodes in memory and ``factors`` the written file.
+    """
+    directory = Path(directory)
+    nodes = _replay_nodes(tree, n_paths)
+    path = directory / "factors.npy"
+    with open(path, "wb") as f:
+        f.write(_factors_header((tree.n, n_paths)))
+        for row in _replay_dates(tree, n_paths, seed, nodes):
+            f.write(row)
+    np.save(directory / "nodes.npy", nodes)
+    return PolicyReplay(nodes, path)
 
 
 def extract_and_value_policy(
@@ -718,14 +822,19 @@ def extract_and_value_policy(
     independent ``seed``, all from the tree's single root point: states
     are projected to the grids only to look up decisions, payoffs come
     from the exact states.  Those paths are the ``replay`` of
-    :func:`policy_replay` for ``(tree, n_paths, seed)``; without one it is
-    simulated here.  What is left per call is, date by date, one flat
-    gather of each path's purchase at ``bought * N_k + node`` and the
-    payoff of :func:`~swingquant.model.spot_and_payoff_of_factor`,
-    computed by the same operations in ``n_paths``-long buffers and added
-    in date order.  So the value and error are bit for bit those of a
-    2-d gather at ``(bought - l_min[k], node)`` and a fresh payoff array
-    per date, and a cached replay gives the same ones.  Every
+    :func:`policy_replay` or :func:`save_policy_replay` for
+    ``(tree, n_paths, seed)``; without one it is simulated here, in
+    memory.  What is left per call is, date by date, one flat gather of
+    each path's purchase at ``bought * N_k + node`` and the payoff of
+    :func:`~swingquant.model.spot_and_payoff_of_factor`, computed by the
+    same operations in ``n_paths``-long buffers and added in date order.
+    Each date's factors come from :meth:`PolicyReplay.factor_rows`: a
+    row of the in-memory array, or of the block of dates last read from
+    the replay's file, so a saved replay adds one block, about
+    ``_BLOCK_BYTES``, to the nodes and buffers held.  So the value and
+    error are bit for bit those of a 2-d gather at
+    ``(bought - l_min[k], node)`` and a fresh payoff array per date, and
+    a cached replay gives the same ones.  Every
     simulated schedule satisfies the global bounds; a violation would
     mean the purchase-count bookkeeping is broken and raises immediately.
 
@@ -745,7 +854,7 @@ def extract_and_value_policy(
     value = np.zeros(n_paths)
     flat = np.empty(n_paths, dtype=np.intp)
     pay = np.empty(n_paths)
-    for k in range(n):
+    for k, factors in enumerate(replay.factor_rows()):
         # The purchase at (bought - l_min, node), gathered flat from the
         # rows laid end to end.  Counts below the floor l_min never occur;
         # their rows pad the table so that a path's row is its count.
@@ -756,7 +865,7 @@ def extract_and_value_policy(
         flat += replay.nodes[k]
         acts = np.take(table, flat)
         # the payoff of spot_and_payoff_of_factor, in one buffer
-        np.multiply(params.forward[k], replay.factors[k], out=pay)
+        np.multiply(params.forward[k], factors, out=pay)
         pay -= params.strikes[k]
         pay *= math.exp(-params.r * (k * params.dt))
         pay *= acts

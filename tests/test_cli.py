@@ -1,6 +1,7 @@
 """Command-line integration tests: exit codes, formats, determinism."""
 import fcntl
 import hashlib
+import io
 import json
 import math
 import os
@@ -787,40 +788,67 @@ class TestPolicyReplay:
         want = self.price(path)
         cfg = load_config(path)
         shutil.rmtree(cfg.out_dir)
-        save = np.save
+        spot_factor = tree.spot_factor
 
-        def interrupted(file, arr, *args, **kwargs):
-            if Path(file).name == "factors.npy":
-                save(file, arr[: len(arr) // 2], *args, **kwargs)
+        def interrupted(params, k, z):
+            # the streamed writer stops after half the dates' rows
+            if k == params.n // 2:
                 raise KeyboardInterrupt
-            return save(file, arr, *args, **kwargs)
+            return spot_factor(params, k, z)
 
-        monkeypatch.setattr(np, "save", interrupted)
+        monkeypatch.setattr(tree, "spot_factor", interrupted)
         res = run_cli(["--config", str(path), "price"])
         monkeypatch.undo()
         assert res.exit_code == 1 and "Aborted" in res.output
         assert self.entries(path) == ["replay-8-3000.partial"]
+        partial = (cfg.out_dir / "cache" / tree_cache_key(cfg)
+                   / "replay-8-3000.partial")
+        assert [p.name for p in partial.iterdir()] == ["factors.npy"]
         again = self.price(path)
         assert "replay_build_seconds" in again["timings"]
         assert self.entries(path) == ["replay-8-3000"]
         for field in ("price", "mc_policy_value", "std_err"):
             assert again[field] == want[field], field
 
-    @pytest.mark.parametrize("name", ["nodes.npy", "factors.npy"])
-    def test_truncated_array_is_rebuilt(self, tmp_path, name):
-        path = self.config(tmp_path)
+    def assert_rebuilt(self, path, name, damage):
+        """Damage a replay array by ``damage(blob)``; the next quote
+        rebuilds the entry, the tree a hit, with the first values."""
         want = self.price(path)
         cfg = load_config(path)
         npy = (cfg.out_dir / "cache" / tree_cache_key(cfg) / "replay-8-3000"
                / name)
         blob = npy.read_bytes()
-        npy.write_bytes(blob[: len(blob) // 2])
+        npy.write_bytes(damage(blob))
         again = self.price(path)
         assert "replay_build_seconds" in again["timings"]
         assert "load_seconds" in again["timings"]  # the tree was a hit
         assert npy.read_bytes() == blob
         for field in ("mc_policy_value", "std_err"):
             assert again[field] == want[field], field
+
+    @pytest.mark.parametrize("name", ["nodes.npy", "factors.npy"])
+    def test_truncated_array_is_rebuilt(self, tmp_path, name):
+        self.assert_rebuilt(self.config(tmp_path), name,
+                            lambda blob: blob[: len(blob) // 2])
+
+    @staticmethod
+    def resaved(blob, change):
+        buf = io.BytesIO()
+        np.save(buf, change(np.load(io.BytesIO(blob))))
+        return buf.getvalue()
+
+    @pytest.mark.parametrize("form", ["float32", "Fortran order", "other shape",
+                                      "trailing bytes", "header alone"])
+    def test_damaged_factor_header_is_rebuilt(self, tmp_path, form):
+        # a hit reads only the header of factors.npy, and the file's size
+        damage = {
+            "float32": lambda b: self.resaved(b, lambda a: a.astype(np.float32)),
+            "Fortran order": lambda b: self.resaved(b, np.asfortranarray),
+            "other shape": lambda b: self.resaved(b, lambda a: a.reshape(3, -1)),
+            "trailing bytes": lambda b: b + bytes(8),
+            "header alone": lambda b: b[: len(b) - 8 * 6 * 3000],
+        }[form]
+        self.assert_rebuilt(self.config(tmp_path), "factors.npy", damage)
 
     def test_seed_and_path_count_key_the_entry(self, tmp_path):
         path = self.config(tmp_path)

@@ -1,5 +1,7 @@
 """Quantized pricing engine tests."""
+import io
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -25,6 +27,7 @@ from swingquant.quantizer import Codebook, distortion, nearest_indices
 from swingquant import tree as tree_module
 from swingquant.tree import (
     OPTIMIZERS,
+    PolicyReplay,
     QuantTree,
     build_grids,
     build_tree,
@@ -35,6 +38,7 @@ from swingquant.tree import (
     policy_replay,
     premium_surface,
     quantized_dp_price,
+    save_policy_replay,
     save_tree,
 )
 
@@ -541,6 +545,65 @@ class TestPolicy:
                                            n_paths=3_000, seed=21,
                                            replay=cached)
             assert got == want
+
+    def test_saved_replay_is_np_save_of_the_arrays(self, small_tree, tmp_path):
+        replay = save_policy_replay(small_tree, 3_000, 21, tmp_path)
+        want = policy_replay(small_tree, 3_000, 21)
+        assert replay.factors == tmp_path / "factors.npy"
+        assert np.array_equal(replay.nodes, want.nodes)
+        for name, arr in (("nodes.npy", want.nodes),
+                          ("factors.npy", want.factors)):
+            buf = io.BytesIO()
+            np.save(buf, arr)
+            assert (tmp_path / name).read_bytes() == buf.getvalue(), name
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_file_replay_values_as_the_in_memory_one(self, tmp_path, extra):
+        # dates below, equal to and one above a block of four dates
+        per_block = 4
+        n_paths = tree_module._BLOCK_BYTES // (8 * per_block)
+        n = per_block + extra
+        tree = build_tree(make_params(n=n), n_bar=5, n_samples=5_000, seed=8)
+        q = gc(1, n - 1)
+        _, policy = quantized_dp_price(tree, q)
+        replay = save_policy_replay(tree, n_paths, 9, tmp_path)
+        want = extract_and_value_policy(tree, policy, q, n_paths, 9)
+        assert extract_and_value_policy(tree, policy, q, n_paths, 9,
+                                        replay=replay) == want
+        loaded = PolicyReplay(np.load(tmp_path / "nodes.npy"), replay.factors)
+        assert extract_and_value_policy(tree, policy, q, n_paths, 9,
+                                        replay=loaded) == want
+
+    def test_file_replay_holds_one_block_of_factors(self, tmp_path):
+        n, n_paths = 100, 20_000
+        tree = build_tree(make_params(n=n), n_bar=6, n_samples=5_000, seed=4,
+                          optimizer="clvq")
+        q = gc(20, 60)
+        _, policy = quantized_dp_price(tree, q)
+        save_policy_replay(tree, n_paths, 5, tmp_path)
+        factors = tmp_path / "factors.npy"
+        tracemalloc.start()
+        try:
+            replay = PolicyReplay(np.load(tmp_path / "nodes.npy"), factors)
+            replay.check(tree, n_paths)
+            extract_and_value_policy(tree, policy, q, n_paths, 5, replay)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < factors.stat().st_size / 3
+
+    def test_factor_file_cut_short_raises(self, small_tree, tmp_path,
+                                          monkeypatch):
+        monkeypatch.setattr(tree_module, "_BLOCK_BYTES", 8 * 3_000 * 4)
+        replay = save_policy_replay(small_tree, 3_000, 21, tmp_path)
+        rows = replay.factor_rows()
+        next(rows)  # the first block of four dates is read
+        os.truncate(replay.factors, replay.factors.stat().st_size - 8)
+        with pytest.raises(EOFError):  # never a block of zeros
+            for _ in rows:
+                pass
+        with pytest.raises(ValueError, match="bytes"):
+            replay.check(small_tree, 3_000)
 
     def test_rejects_a_policy_for_other_bounds(self, small_tree):
         _, policy = quantized_dp_price(small_tree, gc(3, 7))
