@@ -52,6 +52,7 @@ from .tree import (
     build_tree,
     extract_and_value_policy,
     integer_prices,
+    load_policy_replay,
     load_tree,
     premium_surface,
     quantized_dp_price,
@@ -260,7 +261,8 @@ def ensure_tree(cfg: RunConfig) -> tuple[QuantTree, dict, dict]:
     curves, and ``timings`` holds only ``load_seconds``.  A directory
     whose load raises a :data:`DAMAGED_ENTRY` error (a missing or
     truncated file, a damaged manifest, other dynamics) or whose key
-    differs is deleted and rebuilt.
+    differs is deleted and rebuilt.  Publishing an entry prunes the
+    cache of what can never hit again (:func:`_prune_stale`).
     """
     key = tree_cache_key(cfg)
     cache_dir = cfg.out_dir / "cache" / key
@@ -285,8 +287,29 @@ def ensure_tree(cfg: RunConfig) -> tuple[QuantTree, dict, dict]:
     with _publish(cache_dir) as partial:
         manifest = save_tree(tree, partial,
                              {**_tree_fields(cfg), "cache_key": key})
+    _prune_stale(cache_dir)
     timings["persist_seconds"] = time.perf_counter() - t0
     return tree, manifest, timings
+
+
+def _prune_stale(entry: Path) -> None:
+    """Delete the siblings of a tree entry that no run can hit again: the
+    ``.partial`` directories of interrupted builds and the entries whose
+    manifest names another ``package_version``.  Entries of other
+    settings stay, as does one whose manifest does not parse, until a run
+    that wants its key rebuilds it.  Runs under the caller's output lock.
+    """
+    for other in entry.parent.iterdir():
+        if other == entry or not other.is_dir():
+            continue
+        try:
+            stale = other.name.endswith(".partial") or json.loads(
+                (other / "manifest.json").read_text()
+            )["package_version"] != __version__
+        except (OSError, ValueError, TypeError, KeyError):
+            continue
+        if stale:
+            shutil.rmtree(other)
 
 
 def ensure_replay(cfg: RunConfig, tree: QuantTree,
@@ -294,39 +317,33 @@ def ensure_replay(cfg: RunConfig, tree: QuantTree,
     """Load or build the policy replay of the tree cached in ``cache_dir``.
 
     The replay lives beside the tree, in
-    ``replay-<policy_seed>-<policy_paths>/`` (``nodes.npy`` and
-    ``factors.npy``), so it goes with the tree when that is rebuilt.  It
-    is published as the tree is (:func:`_publish`), its factors streamed
-    into the file date by date (:func:`save_policy_replay`).  Either way
-    the replay returned holds the nodes in memory and reads its factors
-    from the entry's file, a block of dates at a time, as it is valued.
-    A hit loads the nodes and reads only the header of ``factors.npy``;
-    an entry that fails to load or does not fit the tree
-    (:meth:`PolicyReplay.check`: the nodes, and the factors' format,
-    dtype, order, shape and file size) is deleted and rebuilt.  A key
-    keeps one replay: publishing one deletes the key's other
-    ``replay-*`` entries, finished or partial, under the caller's output
-    lock.  Returns ``(replay, timings)``, with ``replay_load_seconds`` on
-    a hit and ``replay_build_seconds`` otherwise.
+    ``replay-<policy_seed>-<policy_paths>/``, so it goes with the tree
+    when that is rebuilt.  It is written by :func:`save_policy_replay`
+    and published as the tree is (:func:`_publish`), and either way read
+    back by :func:`load_policy_replay`: the nodes in memory, the factors
+    read from the entry's file a block of dates at a time as they are
+    valued.  An entry that fails to load or does not fit the tree is
+    deleted and rebuilt.  A key keeps one replay: publishing one deletes
+    the key's other ``replay-*`` entries, finished or partial, under the
+    caller's output lock.  Returns ``(replay, timings)``, with
+    ``replay_load_seconds`` on a hit and ``replay_build_seconds``
+    otherwise.
     """
     entry = cache_dir / f"replay-{cfg.policy_seed}-{cfg.policy_paths}"
     t0 = time.perf_counter()
     if entry.is_dir():
         try:
-            replay = PolicyReplay(np.load(entry / "nodes.npy"),
-                                  entry / "factors.npy")
-            replay.check(tree, cfg.policy_paths)
+            replay = load_policy_replay(entry, tree, cfg.policy_paths)
             return replay, {"replay_load_seconds": time.perf_counter() - t0}
         except DAMAGED_ENTRY as exc:
             log.warning("replay %s rejected: %s; rebuilding", entry, exc)
             shutil.rmtree(entry)
     with _publish(entry) as partial:
-        nodes = save_policy_replay(tree, cfg.policy_paths, cfg.policy_seed,
-                                   partial).nodes
+        save_policy_replay(tree, cfg.policy_paths, cfg.policy_seed, partial)
     for other in cache_dir.glob("replay-*"):
         if other != entry:
             shutil.rmtree(other)
-    replay = PolicyReplay(nodes, entry / "factors.npy")
+    replay = load_policy_replay(entry, tree, cfg.policy_paths)
     return replay, {"replay_build_seconds": time.perf_counter() - t0}
 
 
@@ -558,34 +575,23 @@ def converge(ctx, n_bars):
     _dispatch(ctx, body)
 
 
-def _list_artifacts(ctx: click.Context, pattern: str, key: str) -> None:
-    """Build (or reuse) the tree; print its cache directory and the files
-    matching ``pattern`` under ``key``."""
+@main.command("tree")
+@click.pass_context
+def tree_command(ctx):
+    """Build (or reuse) the tree; prints its cache entry and files."""
 
     def body(cfg):
         _, manifest, timings = ensure_tree(cfg)
         cache_dir = cfg.out_dir / "cache" / manifest["cache_key"]
+        files = sorted(p.name for p in cache_dir.iterdir() if p.is_file())
         click.echo(json.dumps({
             "cache_dir": str(cache_dir),
-            key: sorted(p.name for p in cache_dir.glob(pattern)),
+            "cache_hit": "load_seconds" in timings,
+            "files": files,
             "timings": timings,
         }, sort_keys=True))
 
     _dispatch(ctx, body)
-
-
-@main.command()
-@click.pass_context
-def grids(ctx):
-    """Build (or reuse) the per-date codebooks; prints their location."""
-    _list_artifacts(ctx, "grids.npy", "grid_files")
-
-
-@main.command()
-@click.pass_context
-def transitions(ctx):
-    """Build (or reuse) the transition matrices; prints their location."""
-    _list_artifacts(ctx, "transitions.npy", "transition_files")
 
 
 @main.command()

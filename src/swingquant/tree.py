@@ -54,8 +54,8 @@ __all__ = [
     "quantized_dp_price",
     "integer_prices",
     "premium_surface",
-    "policy_replay",
     "save_policy_replay",
+    "load_policy_replay",
     "extract_and_value_policy",
     "save_tree",
     "load_tree",
@@ -697,114 +697,100 @@ def _factors_file(path, shape: tuple[int, int]):
 
 @dataclass(frozen=True)
 class PolicyReplay:
-    """The part of a policy valuation that no bound depends on.
+    """The part of a policy valuation that no bound depends on, as saved.
 
     For each date ``k`` in ``0 .. n - 1`` and each replay path,
     ``nodes[k]`` holds the path's nearest node on grid ``k`` (the smallest
-    unsigned dtype that holds the widest grid) and ``factors[k]`` its unit
-    spot factor (:func:`~swingquant.model.spot_factor`).  Both follow from
-    the tree's dynamics and grids and the replay's seed and path count
-    alone, so one replay serves every bound pair and every curve.
-    ``factors`` is either that float64 ``(n, n_paths)`` array or the path
-    of the ``.npy`` file that holds it (:func:`save_policy_replay`); a
-    file is read a block of dates at a time (:meth:`factor_rows`), so its
-    factors are never all in memory.
+    unsigned dtype that holds the widest grid) and row ``k`` of the
+    float64 ``(n, n_paths)`` array in the ``.npy`` file ``factors`` its
+    unit spot factor (:func:`~swingquant.model.spot_factor`).  Both follow
+    from the tree's dynamics and grids and the replay's seed and path
+    count alone, so one replay serves every bound pair and every curve.
+    :func:`save_policy_replay` writes a replay and
+    :func:`load_policy_replay` reads it back; the factors are read a block
+    of dates at a time (:meth:`dates`), so they are never all in memory.
     """
 
     nodes: np.ndarray
-    factors: np.ndarray | Path
+    factors: Path
 
     def check(self, tree: QuantTree, n_paths: int) -> None:
         """Raise ``ValueError`` unless this replay fits ``tree``.
 
-        Of a factor file, only the header and the size are read.
+        Of the factor file, only the header and the size are read.
         """
         shape = (tree.n, n_paths)
         if self.nodes.shape != shape or self.nodes.dtype.kind != "u":
             raise ValueError(f"replay nodes {self.nodes.dtype} "
                              f"{self.nodes.shape}, want unsigned {shape}")
-        if not isinstance(self.factors, np.ndarray):
-            with _factors_file(self.factors, shape):
-                pass
-        elif self.factors.shape != shape or self.factors.dtype != np.float64:
-            raise ValueError(f"replay factors {self.factors.dtype} "
-                             f"{self.factors.shape}, want float64 {shape}")
+        with _factors_file(self.factors, shape):
+            pass
         widths = np.array([g.n_points for g in tree.grids])
         if np.any(self.nodes.max(axis=1) >= widths):
             raise ValueError("replay node beyond its grid")
 
-    def factor_rows(self):
-        """Yield each date's factor row, in date order.
+    def dates(self):
+        """Yield each date's ``(nodes, factors)`` rows, in date order.
 
-        A factor file is read into one reused buffer of ``_BLOCK_BYTES``
+        The factors are read into one reused buffer of ``_BLOCK_BYTES``
         (or one date's row, if that is more), a block of dates at a time,
         so a row holds its values only until the next one is drawn.  A
         file that ends early raises ``EOFError``.
         """
-        if isinstance(self.factors, np.ndarray):
-            yield from self.factors
-            return
         n, n_paths = self.nodes.shape
         with _factors_file(self.factors, self.nodes.shape) as f:
-            dates = min(n, max(1, _BLOCK_BYTES // (8 * n_paths)))
-            buffer = np.empty((dates, n_paths))
-            for k0 in range(0, n, dates):
+            per_block = min(n, max(1, _BLOCK_BYTES // (8 * n_paths)))
+            buffer = np.empty((per_block, n_paths))
+            for k0 in range(0, n, per_block):
                 block = buffer[:n - k0]
                 if f.readinto(block) != block.nbytes:
                     raise EOFError(f"{self.factors} ends before date {n}")
-                yield from block
+                yield from zip(self.nodes[k0:k0 + len(block)], block)
 
 
-def _replay_dates(tree: QuantTree, n_paths: int, seed: int, nodes: np.ndarray):
-    """Simulate the replay's paths date by date (plain i.i.d. sampling).
-
-    Fills ``nodes[k]`` and yields the date's unit spot factors; the paths
-    stop at date ``n - 1``, so no path array is held.
-    """
+def _replay_dates(tree: QuantTree, n_paths: int, seed: int):
+    """Simulate the replay's paths date by date (plain i.i.d. sampling),
+    yielding each date's ``(nodes, factors)`` rows as
+    :meth:`PolicyReplay.dates` does; no path array is held."""
     params = tree.params
     for k, state in zip(range(tree.n), factor_states(params, n_paths, seed)):
         z = state * params.vols
-        nodes[k] = nearest_indices(z, tree.grids[k])
-        yield spot_factor(params, k, z)
-
-
-def _replay_nodes(tree: QuantTree, n_paths: int) -> np.ndarray:
-    widest = max(g.n_points for g in tree.grids)
-    return np.empty((tree.n, n_paths), dtype=np.min_scalar_type(widest - 1))
-
-
-def policy_replay(tree: QuantTree, n_paths: int, seed: int) -> PolicyReplay:
-    """Simulate ``n_paths`` exact-model paths and keep what a valuation reads.
-
-    Streams the paths date by date (:func:`~swingquant.model.factor_states`)
-    into the replay's two in-memory arrays.
-    """
-    nodes = _replay_nodes(tree, n_paths)
-    factors = np.empty((tree.n, n_paths))
-    for k, row in enumerate(_replay_dates(tree, n_paths, seed, nodes)):
-        factors[k] = row
-    return PolicyReplay(nodes, factors)
+        yield nearest_indices(z, tree.grids[k]), spot_factor(params, k, z)
 
 
 def save_policy_replay(tree: QuantTree, n_paths: int, seed: int,
-                       directory) -> PolicyReplay:
-    """The replay of :func:`policy_replay`, saved into ``directory``.
+                       directory) -> None:
+    """Simulate ``n_paths`` exact-model paths and save what a valuation reads.
 
-    Writes ``factors.npy`` as the paths are simulated, its header first
-    and then one date's row at a time, and ``nodes.npy`` at the end; both
-    files are byte for byte ``np.save`` of :func:`policy_replay`'s
-    arrays, but no float64 ``(n, n_paths)`` array is held.  Returns the
-    replay with the nodes in memory and ``factors`` the written file.
+    Writes ``factors.npy`` into ``directory`` as the paths are simulated,
+    its header first and then one date's row at a time, and ``nodes.npy``
+    at the end; both files are byte for byte ``np.save`` of the replay's
+    two arrays, but no float64 ``(n, n_paths)`` array is held.
     """
     directory = Path(directory)
-    nodes = _replay_nodes(tree, n_paths)
-    path = directory / "factors.npy"
-    with open(path, "wb") as f:
+    widest = max(g.n_points for g in tree.grids)
+    nodes = np.empty((tree.n, n_paths), dtype=np.min_scalar_type(widest - 1))
+    dates = _replay_dates(tree, n_paths, seed)
+    with open(directory / "factors.npy", "wb") as f:
         f.write(_factors_header((tree.n, n_paths)))
-        for row in _replay_dates(tree, n_paths, seed, nodes):
-            f.write(row)
+        for k, (node, factors) in enumerate(dates):
+            nodes[k] = node
+            f.write(factors)
     np.save(directory / "nodes.npy", nodes)
-    return PolicyReplay(nodes, path)
+
+
+def load_policy_replay(directory, tree: QuantTree,
+                       n_paths: int) -> PolicyReplay:
+    """The replay :func:`save_policy_replay` wrote into ``directory``:
+    the nodes loaded, the factors left in their file.  Raises
+    ``OSError``, ``EOFError`` or ``ValueError`` for a missing or damaged
+    file or one that does not fit ``tree`` (:meth:`PolicyReplay.check`).
+    """
+    directory = Path(directory)
+    replay = PolicyReplay(np.load(directory / "nodes.npy"),
+                          directory / "factors.npy")
+    replay.check(tree, n_paths)
+    return replay
 
 
 def extract_and_value_policy(
@@ -821,22 +807,18 @@ def extract_and_value_policy(
     bounds ``q0``.  Valuation runs on exact-model paths with an
     independent ``seed``, all from the tree's single root point: states
     are projected to the grids only to look up decisions, payoffs come
-    from the exact states.  Those paths are the ``replay`` of
-    :func:`policy_replay` or :func:`save_policy_replay` for
-    ``(tree, n_paths, seed)``; without one it is simulated here, in
-    memory.  What is left per call is, date by date, one flat gather of
-    each path's purchase at ``bought * N_k + node`` and the payoff of
+    from the exact states.  The paths' nodes and unit spot factors come,
+    date by date, from ``replay``, loaded by :func:`load_policy_replay`
+    for ``(tree, n_paths, seed)``, or else straight from the simulation;
+    neither holds a whole-horizon array, and both give the same bits.
+    Per date, the valuation is one flat gather of each path's purchase at
+    ``bought * N_k + node`` and the payoff of
     :func:`~swingquant.model.spot_and_payoff_of_factor`, computed by the
-    same operations in ``n_paths``-long buffers and added in date order.
-    Each date's factors come from :meth:`PolicyReplay.factor_rows`: a
-    row of the in-memory array, or of the block of dates last read from
-    the replay's file, so a saved replay adds one block, about
-    ``_BLOCK_BYTES``, to the nodes and buffers held.  So the value and
-    error are bit for bit those of a 2-d gather at
-    ``(bought - l_min[k], node)`` and a fresh payoff array per date, and
-    a cached replay gives the same ones.  Every
-    simulated schedule satisfies the global bounds; a violation would
-    mean the purchase-count bookkeeping is broken and raises immediately.
+    same operations in ``n_paths``-long buffers and added in date order,
+    so bit for bit a 2-d gather at ``(bought - l_min[k], node)`` and a
+    fresh payoff array per date.  Every simulated schedule satisfies the
+    global bounds; a violation would mean the purchase-count bookkeeping
+    is broken and raises immediately.
 
     Returns ``(mc_value, std_err)``.
     """
@@ -846,15 +828,17 @@ def extract_and_value_policy(
         raise ValueError(f"the policy is for bounds {policy.q0.as_tuple()}, "
                          f"not {q0.as_tuple()}")
     if replay is None:
-        replay = policy_replay(tree, n_paths, seed)
-    replay.check(tree, n_paths)
+        dates = _replay_dates(tree, n_paths, seed)
+    else:
+        replay.check(tree, n_paths)
+        dates = replay.dates()
 
     params = tree.params
     bought = np.zeros(n_paths, dtype=np.int64)
     value = np.zeros(n_paths)
     flat = np.empty(n_paths, dtype=np.intp)
     pay = np.empty(n_paths)
-    for k, factors in enumerate(replay.factor_rows()):
+    for k, (nodes, factors) in enumerate(dates):
         # The purchase at (bought - l_min, node), gathered flat from the
         # rows laid end to end.  Counts below the floor l_min never occur;
         # their rows pad the table so that a path's row is its count.
@@ -862,7 +846,7 @@ def extract_and_value_policy(
         table = np.zeros((policy.l_min[k] + rows) * width, dtype=np.intp)
         table[policy.l_min[k] * width:] = policy.buy[k].reshape(-1)
         np.multiply(bought, width, out=flat)
-        flat += replay.nodes[k]
+        flat += nodes
         acts = np.take(table, flat)
         # the payoff of spot_and_payoff_of_factor, in one buffer
         np.multiply(params.forward[k], factors, out=pay)

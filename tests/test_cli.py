@@ -698,7 +698,7 @@ class TestTreeCache:
             (tmp_path / sub).mkdir()
             cfg = write_config(tmp_path / sub, sigma1=0.36, sigma2=1.11, n=4,
                                n_bar=3, n_samples=1000, **curves)
-            assert run_cli(["--config", str(cfg), "grids"]).exit_code == 0
+            assert run_cli(["--config", str(cfg), "tree"]).exit_code == 0
             outs.append(tmp_path / sub / "out")
         assert cache_digests(outs[0]) == cache_digests(outs[1])
 
@@ -726,6 +726,46 @@ class TestTreeCache:
         assert cache == {"manifest.json", "grids.npy", "transitions.npy"}
         _, again, timings = ensure_tree(cfg)
         assert again == manifest and "load_seconds" in timings
+
+    def test_publishing_prunes_what_cannot_hit(self, tmp_path, monkeypatch):
+        cfg = load_config(write_config(tmp_path, sigma1=0.36, sigma2=1.11,
+                                       n=4, n_bar=3, n_samples=1000))
+        cache = cfg.out_dir / "cache"
+        damaged = replace(cfg, n_bar=5)
+        ensure_tree(damaged)
+        (cache / tree_cache_key(damaged) / "manifest.json").write_text("{")
+        ensure_tree(cfg)
+        # an entry an older package version wrote
+        old = cache / "0123456789abcdef"
+        shutil.copytree(cache / tree_cache_key(cfg), old)
+        doc = json.loads((old / "manifest.json").read_text())
+        doc["package_version"] = "0.0.1"
+        (old / "manifest.json").write_text(json.dumps(doc))
+        # and an interrupted build of another seed
+        write_text = Path.write_text
+
+        def interrupted(path, text, *args, **kwargs):
+            if "manifest" in path.name:
+                raise KeyboardInterrupt
+            return write_text(path, text, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            ensure_tree(replace(cfg, seed=8))
+        monkeypatch.undo()
+        partial = cache / (tree_cache_key(replace(cfg, seed=8)) + ".partial")
+        assert partial.is_dir()
+        ensure_tree(cfg)  # a hit publishes nothing, so prunes nothing
+        assert old.is_dir() and partial.is_dir()
+        other = replace(cfg, n_bar=4)
+        ensure_tree(other)
+        # other settings' keys stay, the damaged one until it is requested
+        keys = {tree_cache_key(c) for c in (cfg, damaged, other)}
+        assert {p.name for p in cache.iterdir()} == keys
+        _, manifest, timings = ensure_tree(damaged)
+        assert "build_tree_seconds" in timings
+        assert manifest["N_bar"] == 5
+        assert {p.name for p in cache.iterdir()} == keys
 
 
 def reference_policy_value(cfg, q):
@@ -884,16 +924,25 @@ class TestPolicyReplay:
 
 class TestAuxCommands:
     def test_grids_and_transitions(self, tmp_path):
+        # one `tree` command replaced both, which are now usage errors
         cfg = write_config(tmp_path, sigma1=0.36, sigma2=1.11, n=4, n_bar=3,
                            n_samples=1000)
-        res = run_cli(["--config", str(cfg), "grids"])
-        assert res.exit_code == 0
-        doc = json.loads(res.output)
-        assert doc["grid_files"] == ["grids.npy"]
-        res = run_cli(["--config", str(cfg), "transitions"])
-        assert res.exit_code == 0
-        doc = json.loads(res.output)
-        assert doc["transition_files"] == ["transitions.npy"]
+        for removed in ("grids", "transitions"):
+            res = run_cli(["--config", str(cfg), removed])
+            assert res.exit_code == 2 and "No such command" in res.output
+        docs = []
+        for _ in range(2):
+            res = run_cli(["--config", str(cfg), "tree"])
+            assert res.exit_code == 0, res.output
+            docs.append(json.loads(res.output))
+        cold, warm = docs
+        key = tree_cache_key(load_config(cfg))
+        for doc in docs:
+            assert doc["cache_dir"] == str(tmp_path / "out" / "cache" / key)
+            assert doc["files"] == ["grids.npy", "manifest.json",
+                                    "transitions.npy"]
+        assert not cold["cache_hit"] and "build_tree_seconds" in cold["timings"]
+        assert warm["cache_hit"] and set(warm["timings"]) == {"load_seconds"}
 
     def test_simulate(self, tmp_path):
         cfg = write_config(tmp_path, sigma1=0.36, sigma2=1.11, n=4)

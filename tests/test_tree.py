@@ -19,7 +19,9 @@ from swingquant.contracts import GlobalConstraints, Tile, interpolate_on_tile
 from swingquant.model import (
     closed_form_strip,
     factor_states,
+    simulate_factor_paths,
     spot_and_payoff_of_factor,
+    spot_factor,
     standardized_state,
 )
 from swingquant.oracle import price_lattice_bruteforce
@@ -27,15 +29,14 @@ from swingquant.quantizer import Codebook, distortion, nearest_indices
 from swingquant import tree as tree_module
 from swingquant.tree import (
     OPTIMIZERS,
-    PolicyReplay,
     QuantTree,
     build_grids,
     build_tree,
     estimate_transitions,
     extract_and_value_policy,
     integer_prices,
+    load_policy_replay,
     load_tree,
-    policy_replay,
     premium_surface,
     quantized_dp_price,
     save_policy_replay,
@@ -92,20 +93,21 @@ def exact_policy_value(tree, policy):
     return total
 
 
-def per_date_policy_value(tree, policy, replay):
+def per_date_policy_value(tree, policy, nodes, factors):
     """``(mc_value, std_err)`` and the purchase counts by the per-date loop
-    the valuation first ran: a 2-d gather and the model's payoff."""
-    n_paths = replay.nodes.shape[1]
+    the valuation first ran, on a replay's node and factor arrays: a 2-d
+    gather and the model's payoff."""
+    n_paths = nodes.shape[1]
     bought = np.zeros(n_paths, dtype=np.int64)
     value = np.zeros(n_paths)
     on_rising_floor = 0  # path-dates where the floor forces a purchase
     for k in range(tree.n):
-        _, pay = spot_and_payoff_of_factor(tree.params, k, replay.factors[k])
+        _, pay = spot_and_payoff_of_factor(tree.params, k, factors[k])
         row = bought - policy.l_min[k]
         floor_next = max(policy.q0.q_lo - (tree.n - k - 1), 0)
         if floor_next > policy.l_min[k]:
             on_rising_floor += int((row == 0).sum())
-        acts = policy.buy[k][row, replay.nodes[k]]
+        acts = policy.buy[k][row, nodes[k]]
         value += acts * pay
         bought += acts
     stats = (float(value.mean()),
@@ -139,6 +141,17 @@ def build_paths(params, n_samples, seed):
 def small_tree():
     params = make_params(n=10)
     return build_tree(params, n_bar=20, n_samples=100_000, seed=2024)
+
+
+@pytest.fixture(scope="module")
+def long_policy():
+    """``(tree, q, policy, n_paths)`` of 100 dates valued on 20,000 paths,
+    whose factor array would take 16 MB."""
+    tree = build_tree(make_params(n=100), n_bar=6, n_samples=5_000, seed=4,
+                      optimizer="clvq")
+    q = gc(20, 60)
+    _, policy = quantized_dp_price(tree, q)
+    return tree, q, policy, 20_000
 
 
 class TestBuildGrids:
@@ -532,12 +545,13 @@ class TestPolicy:
         for arr in policy.buy:
             assert set(np.unique(arr)).issubset({0, 1})
 
-    def test_flat_gather_equals_the_per_date_loop(self, small_tree):
+    def test_flat_gather_equals_the_per_date_loop(self, small_tree, tmp_path):
         q = gc(4, 6)  # the floor rises over the last four dates
         _, policy = quantized_dp_price(small_tree, q)
-        replay = policy_replay(small_tree, 3_000, 21)
+        save_policy_replay(small_tree, 3_000, 21, tmp_path)
+        replay = load_policy_replay(tmp_path, small_tree, 3_000)
         want, bought, on_rising_floor = per_date_policy_value(
-            small_tree, policy, replay)
+            small_tree, policy, replay.nodes, np.load(replay.factors))
         assert (bought == 6).any()  # the cap binds
         assert on_rising_floor > 0  # and the floor forces purchases
         for cached in (None, replay):
@@ -547,12 +561,18 @@ class TestPolicy:
             assert got == want
 
     def test_saved_replay_is_np_save_of_the_arrays(self, small_tree, tmp_path):
-        replay = save_policy_replay(small_tree, 3_000, 21, tmp_path)
-        want = policy_replay(small_tree, 3_000, 21)
-        assert replay.factors == tmp_path / "factors.npy"
-        assert np.array_equal(replay.nodes, want.nodes)
-        for name, arr in (("nodes.npy", want.nodes),
-                          ("factors.npy", want.factors)):
+        # the arrays are built here from the whole path array, apart from
+        # the writer's date-by-date simulation
+        params, n_paths = small_tree.params, 3_000
+        paths = simulate_factor_paths(params, n_paths, 21)
+        nodes = np.empty((params.n, n_paths), dtype=np.uint8)  # 20 nodes
+        factors = np.empty((params.n, n_paths))
+        for k in range(params.n):
+            z = paths[:, k, :] * params.vols
+            nodes[k] = nearest_indices(z, small_tree.grids[k])
+            factors[k] = spot_factor(params, k, z)
+        save_policy_replay(small_tree, n_paths, 21, tmp_path)
+        for name, arr in (("nodes.npy", nodes), ("factors.npy", factors)):
             buf = io.BytesIO()
             np.save(buf, arr)
             assert (tmp_path / name).read_bytes() == buf.getvalue(), name
@@ -566,41 +586,46 @@ class TestPolicy:
         tree = build_tree(make_params(n=n), n_bar=5, n_samples=5_000, seed=8)
         q = gc(1, n - 1)
         _, policy = quantized_dp_price(tree, q)
-        replay = save_policy_replay(tree, n_paths, 9, tmp_path)
+        save_policy_replay(tree, n_paths, 9, tmp_path)
+        replay = load_policy_replay(tmp_path, tree, n_paths)
         want = extract_and_value_policy(tree, policy, q, n_paths, 9)
         assert extract_and_value_policy(tree, policy, q, n_paths, 9,
                                         replay=replay) == want
-        loaded = PolicyReplay(np.load(tmp_path / "nodes.npy"), replay.factors)
-        assert extract_and_value_policy(tree, policy, q, n_paths, 9,
-                                        replay=loaded) == want
 
-    def test_file_replay_holds_one_block_of_factors(self, tmp_path):
-        n, n_paths = 100, 20_000
-        tree = build_tree(make_params(n=n), n_bar=6, n_samples=5_000, seed=4,
-                          optimizer="clvq")
-        q = gc(20, 60)
-        _, policy = quantized_dp_price(tree, q)
+    def test_file_replay_holds_one_block_of_factors(self, long_policy,
+                                                    tmp_path):
+        tree, q, policy, n_paths = long_policy
         save_policy_replay(tree, n_paths, 5, tmp_path)
         factors = tmp_path / "factors.npy"
         tracemalloc.start()
         try:
-            replay = PolicyReplay(np.load(tmp_path / "nodes.npy"), factors)
-            replay.check(tree, n_paths)
+            replay = load_policy_replay(tmp_path, tree, n_paths)
             extract_and_value_policy(tree, policy, q, n_paths, 5, replay)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < factors.stat().st_size / 3
 
+    def test_simulated_replay_holds_no_factor_array(self, long_policy):
+        tree, q, policy, n_paths = long_policy
+        tracemalloc.start()
+        try:
+            extract_and_value_policy(tree, policy, q, n_paths, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * tree.n * n_paths / 3
+
     def test_factor_file_cut_short_raises(self, small_tree, tmp_path,
                                           monkeypatch):
         monkeypatch.setattr(tree_module, "_BLOCK_BYTES", 8 * 3_000 * 4)
-        replay = save_policy_replay(small_tree, 3_000, 21, tmp_path)
-        rows = replay.factor_rows()
-        next(rows)  # the first block of four dates is read
+        save_policy_replay(small_tree, 3_000, 21, tmp_path)
+        replay = load_policy_replay(tmp_path, small_tree, 3_000)
+        dates = replay.dates()
+        next(dates)  # the first block of four dates is read
         os.truncate(replay.factors, replay.factors.stat().st_size - 8)
         with pytest.raises(EOFError):  # never a block of zeros
-            for _ in rows:
+            for _ in dates:
                 pass
         with pytest.raises(ValueError, match="bytes"):
             replay.check(small_tree, 3_000)
