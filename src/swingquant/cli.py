@@ -37,6 +37,7 @@ from .contracts import (
 from .model import (
     TwoFactorParams,
     as_integer,
+    as_real,
     closed_form_strip,
     dynamics_to_dict,
     params_from_dict,
@@ -142,8 +143,8 @@ def load_config(path, seed_override=None, out_override=None) -> RunConfig:
                                   "policy_paths")
         policy_seed = as_integer(pricing.get("policy_seed", seed + 1),
                                  "policy_seed")
-        q_lo = float(pricing.get("Q_min", 0.0))
-        q_hi = float(pricing.get("Q_max", params.n))
+        q_lo = as_real(pricing.get("Q_min", 0.0), "Q_min")
+        q_hi = as_real(pricing.get("Q_max", params.n), "Q_max")
         optimizer = str(pricing.get("optimizer", DEFAULT_OPTIMIZER))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad pricing section: {exc}") from exc

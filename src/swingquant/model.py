@@ -316,7 +316,7 @@ def closed_form_strip(params: TwoFactorParams) -> float:
 
 def _load_curve(value, n: int, base_dir: Path, name: str) -> np.ndarray:
     if isinstance(value, (int, float)):
-        return np.full(n, float(value))
+        return np.full(n, as_real(value, name))
     if isinstance(value, str):
         path = Path(value)
         if not path.is_absolute():
@@ -330,7 +330,7 @@ def _load_curve(value, n: int, base_dir: Path, name: str) -> np.ndarray:
             )
         return np.asarray(values)
     if isinstance(value, (list, tuple)):
-        return np.asarray(value, dtype=float)
+        return np.asarray([as_real(v, name) for v in value], dtype=float)
     raise TypeError(f"{name} must be a number, list, or CSV path")
 
 
@@ -356,6 +356,14 @@ def as_integer(value, name: str) -> int:
     return int(value)
 
 
+def as_real(value, name: str) -> float:
+    """``float(value)`` for a configured real number; a boolean raises
+    ``ValueError`` instead of reading as 0 or 1."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def params_from_dict(doc: dict, base_dir=".") -> TwoFactorParams:
     """Build parameters from a key-value document.
 
@@ -365,20 +373,14 @@ def params_from_dict(doc: dict, base_dir=".") -> TwoFactorParams:
     value per date, resolved relative to ``base_dir``.
     """
     base = Path(base_dir)
-    required = ["alpha1", "alpha2", "sigma1", "sigma2", "rho", "r", "T", "n",
-                "forward", "strike"]
+    reals = ["alpha1", "alpha2", "sigma1", "sigma2", "rho", "r", "T"]
+    required = reals + ["n", "forward", "strike"]
     missing = [key for key in required if key not in doc]
     if missing:
         raise KeyError(f"model config missing fields: {', '.join(missing)}")
     n = as_integer(doc["n"], "n")
     return TwoFactorParams(
-        alpha1=float(doc["alpha1"]),
-        alpha2=float(doc["alpha2"]),
-        sigma1=float(doc["sigma1"]),
-        sigma2=float(doc["sigma2"]),
-        rho=float(doc["rho"]),
-        r=float(doc["r"]),
-        T=float(doc["T"]),
+        **{key: as_real(doc[key], key) for key in reals},
         n=n,
         forward=_load_curve(doc["forward"], n, base, "forward"),
         strikes=_load_curve(doc["strike"], n, base, "strike"),

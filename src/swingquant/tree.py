@@ -399,27 +399,29 @@ def _blocks(a: np.ndarray, sizes) -> list[np.ndarray]:
     return out
 
 
-def _backward(tree: QuantTree, layout, terminal_rows: int, decisions: bool):
+def _backward(tree: QuantTree, layouts, decisions: bool):
     """The backward induction, over ``(row, node)`` arrays.
 
-    The caller lays out the rows of each date: ``layout(k)`` returns
-    ``(splits, same, child0_tail, child1, must_buy, cannot_buy)``.  The
-    rows of date ``k + 1`` form blocks, starting at row 0 and at the rows
-    ``splits``, and each block's continuation is its own matmul: BLAS may
-    round a row differently by where it sits in a larger product, and a
-    block keeps the bits it has when priced alone.  ``child1`` holds the
-    row each row reaches with a purchase.  Without one, each row
-    ``r < same`` reaches row ``r`` of date ``k + 1``, so its candidate is
-    that row of the continuation values as it stands and needs no
-    gather; row ``same + i`` reaches row ``child0_tail[i]``.
-    ``must_buy`` (rows ``>= same``) and ``cannot_buy`` list the few rows
-    whose no-purchase or purchase is forbidden; the child of a forbidden
-    choice may be out of range, as gathers clip.  Date ``n`` has
-    ``terminal_rows`` rows of value zero.
+    The caller lays out the rows of each date: ``layouts[k]`` is
+    ``(edges, gather, runs)``.  The rows of date ``k + 1`` form blocks
+    split at ``edges`` (``0`` first, the row count last), and each
+    block's continuation is its own matmul: BLAS may round a row
+    differently by where it sits in a larger product, and a block keeps
+    the bits it has when priced alone.  The continuation is written with
+    a ``-inf`` pad row before each block and after the last, so block
+    ``j``'s row ``r`` sits at padded row ``r + j + 1``.  Every forbidden
+    choice reads a pad: its candidate is ``-inf``, and a state with
+    neither choice is ``-inf`` too.  ``runs`` cover the rows of date
+    ``k`` in order as ``(start, stop, stay)``: rows ``start + i`` take
+    padded row ``stay + i`` without a purchase, a slice.  With a
+    purchase they take the row after it, again a slice, unless
+    ``gather`` indexes the padded row of every row's purchase.  Date
+    ``n`` is worth zero.
 
-    A date thus costs one matmul per block, and one gather, one payoff
-    add and one maximum over its ``(rows, N_k)`` arrays, and a gather of
-    the tail.
+    A date thus costs one matmul per block, and per run one payoff add
+    and one maximum over slices; a ``gather`` adds one take.  The two
+    buffers, for the values and for the padded continuation, are sized
+    once for the largest date.
 
     Yields ``(k, values, buy)`` from date ``n - 1`` down to 0: ``values``
     of shape ``(rows, N_k)`` and, with ``decisions``, the int8 0/1
@@ -428,82 +430,68 @@ def _backward(tree: QuantTree, layout, terminal_rows: int, decisions: bool):
     buffer the next step overwrites; a caller that keeps it copies it.
     """
     n = tree.n
-    # Three buffers reused across dates: the premium surface's rows grow
-    # at every date, and fresh arrays of growing size would each be
-    # mapped (and page-faulted) anew by the allocator.  The purchase
-    # candidates become the values in place.
-    pool = [np.empty(0)] * 3
-    values = np.zeros((terminal_rows, tree.width(n - 1)))
+    widths = [tree.width(k) for k in range(n)]
+    value_buf = np.empty(max(runs[-1][1] * w
+                             for (_, _, runs), w in zip(layouts, widths)))
+    cont_buf = np.empty(max((edges[-1] + len(edges)) * w
+                            for (edges, _, _), w in zip(layouts, widths)))
     for k in range(n - 1, -1, -1):
-        width = tree.width(k)
-        splits, same, child0_tail, child1, must_buy, cannot_buy = layout(k)
-        cont = values
-        if k < n - 1:
-            cont = _scratch(pool, 0, (len(values), width))
-            _continuation(values, tree.transitions[k], splits, cont)
-        if any(r in cannot_buy for r in must_buy):
-            raise ArithmeticError("a state admits no purchase")
-        rows = len(child1)
-        cand1 = np.take(cont, child1, axis=0, mode="clip",
-                        out=_scratch(pool, 1, (rows, width)))
-        _add_to_rows(cand1, tree.payoff_values[k])
-        for r in cannot_buy:
-            cand1[r] = -np.inf
+        width = widths[k]
+        edges, gather, runs = layouts[k]
+        cont = cont_buf[:(edges[-1] + len(edges)) * width].reshape(-1, width)
+        if k == n - 1:
+            cont.fill(0.0)
+        else:
+            # Every block's product reads date k + 1's values before any
+            # of date k's rows overwrites them in the same buffer.
+            transition = tree.transitions[k].T
+            for j, (a, b) in enumerate(zip(edges, edges[1:])):
+                np.matmul(values[a:b], transition, out=cont[a + j + 1:b + j + 1])
+        for j, edge in enumerate(edges):
+            cont[edge + j] = -np.inf
+        rows = runs[-1][1]
+        values = value_buf[:rows * width].reshape(rows, width)
+        payoff = tree.payoff_values[k]
+        if gather is not None:
+            # mode="clip" lets take write straight into values: under the
+            # default "raise" numpy buffers the output, and a 365-date
+            # surface takes about a third longer.
+            np.take(cont, gather, axis=0, mode="clip", out=values)
+            _add_to_rows(values, payoff, values)
         buy = np.empty((rows, width), dtype=np.int8) if decisions else None
-        if same:
-            head = cont[:same]
+        for start, stop, stay in runs:
+            cand = values[start:stop]
+            if gather is None:
+                _add_to_rows(cont[stay + 1:stay + 1 + stop - start], payoff, cand)
+            keep = cont[stay:stay + stop - start]
             if decisions:
-                np.greater(cand1[:same], head, out=buy[:same])
-            np.maximum(head, cand1[:same], out=cand1[:same])
-        if same < rows:
-            tail = np.take(cont, child0_tail, axis=0, mode="clip",
-                           out=_scratch(pool, 2, (rows - same, width)))
-            for r in must_buy:
-                tail[r - same] = -np.inf
-            if decisions:
-                np.greater(cand1[same:], tail, out=buy[same:])
-            np.maximum(tail, cand1[same:], out=cand1[same:])
-        values = cand1
+                np.greater(cand, keep, out=buy[start:stop])
+            # numpy returns the second operand on ties: a tie of +0.0 and
+            # -0.0 takes the purchase's sign
+            np.maximum(keep, cand, out=cand)
         # NaN and infinities reach the root from any date they arise at
         if k == 0 and not np.isfinite(values).all():
-            raise ArithmeticError("the induction overflowed")
+            raise ArithmeticError(
+                "the induction overflowed or a state admits neither choice")
         yield k, values, buy
-
-
-def _continuation(values: np.ndarray, transition: np.ndarray, splits,
-                  out: np.ndarray) -> None:
-    """``values @ transition.T`` into ``out``, one product per block of
-    rows, the blocks starting at row 0 and at the rows ``splits``."""
-    if not splits:  # one block, without the slicing
-        np.matmul(values, transition.T, out=out)
-        return
-    for a, b in zip((0, *splits), (*splits, len(values))):
-        np.matmul(values[a:b], transition.T, out=out[a:b])
-
-
-def _scratch(pool: list[np.ndarray], i: int, shape: tuple[int, int]) -> np.ndarray:
-    """A C-contiguous ``shape`` view of ``pool[i]``, grown geometrically."""
-    size = shape[0] * shape[1]
-    if pool[i].size < size:
-        pool[i] = np.empty(2 * size)
-    return pool[i][:size].reshape(shape)
 
 
 _FLAT_ROWS = 512
 
 
-def _add_to_rows(a: np.ndarray, row: np.ndarray) -> None:
-    """``a += row`` for a C-contiguous ``a``, bit for bit.
+def _add_to_rows(a: np.ndarray, row: np.ndarray, out: np.ndarray) -> None:
+    """``out = a + row`` for C-contiguous ``a`` and ``out``, bit for bit.
 
     A broadcast add loops over ``row`` innermost, a loop only ``N`` long;
     blocks of ``_FLAT_ROWS`` rows are added as one flat row instead.
     """
     flat = len(a) // _FLAT_ROWS * _FLAT_ROWS
     if flat:
-        block = a[:flat].reshape(-1, _FLAT_ROWS * len(row))
-        np.add(block, np.tile(row, _FLAT_ROWS), out=block)
+        shape = (-1, _FLAT_ROWS * len(row))
+        np.add(a[:flat].reshape(shape), np.tile(row, _FLAT_ROWS),
+               out=out[:flat].reshape(shape))
     if flat < len(a):
-        a[flat:] += row
+        np.add(a[flat:], row, out=out[flat:])
 
 
 def _clamped_integer(q0: GlobalConstraints, n: int) -> GlobalConstraints:
@@ -516,58 +504,34 @@ def _clamped_integer(q0: GlobalConstraints, n: int) -> GlobalConstraints:
 
 
 def _count_layouts(n: int, bounds: list[GlobalConstraints]):
-    """``layout`` for :func:`_backward` over the purchase counts of several
-    contracts, one block of rows per integer bound pair, and their floors.
+    """``layouts`` for :func:`_backward` over the purchase counts of
+    several contracts, one block of rows per integer bound pair.
 
     Block ``b``, for bounds ``(lo, hi)``, holds at date ``k`` the counts
     ``l_min(k) .. min(k, hi)`` with ``l_min(k) = (lo - (n - k))^+`` (the
-    floor must stay reachable), after the rows of blocks ``< b``.  Count
-    ``l`` reaches ``l`` without a purchase and ``l + 1`` with one, in the
-    same block at ``k + 1``.  Block 0 keeps its rows while its floor
-    stays, so they need no gather; the other rows are the tail.  Where a
-    floor rises, its block's first row must buy; once a cap is reached,
-    its block's last row cannot.  Date ``n`` has ``hi - lo + 1`` rows a
-    block.  The children of every date are built before the pass, as
-    arrays over the dates laid end to end, and each date takes slices of
-    them, so the per-date work does not grow with the blocks.  Returns
-    ``(layout, l_min, terminal_rows)``, ``l_min`` of shape
-    ``(n + 1, blocks)``.
+    floor must stay reachable), after the rows of blocks ``< b``; date
+    ``n`` has ``hi - lo + 1`` rows a block.  Count ``l`` reaches ``l``
+    without a purchase and ``l + 1`` with one, in the same block at
+    ``k + 1``: the block's rows shifted by ``-rise`` and ``1 - rise``,
+    where ``rise = l_min(k + 1) - l_min(k)`` is 0 or 1.  So a rising
+    floor's first row reads the leading pad without a purchase, and a
+    reached cap's last row the trailing pad with one.  Returns
+    ``(layouts, l_min)``, ``l_min`` of shape ``(n + 1, blocks)``.
     """
     lo = np.array([int(q.q_lo) for q in bounds])
     hi = np.array([int(q.q_hi) for q in bounds])
     dates = np.arange(n + 1)[:, None]
     l_min = np.maximum(lo - (n - dates), 0)      # (n + 1, blocks)
-    l_max = np.minimum(dates, hi)
-    rows = l_max - l_min + 1
-    first = np.cumsum(rows, axis=1) - rows       # each block's first row
-    rises = l_min[1:] > l_min[:-1]
-    capped = l_max[:-1] == hi
-    # Dates 0 .. n - 1 laid end to end, block after block: row i of
-    # block (k, b), count l_min + i, sits at flat index start + i and
-    # reaches count l_min + i + 1 with a purchase, row head + i of date
-    # k + 1, so its child is its flat index plus head - start.
-    size = rows[:-1].reshape(-1)
-    stop = np.cumsum(size)
-    start = stop - size
-    head = (first[1:] + l_min[:-1] + 1 - l_min[1:]).reshape(-1)
-    child1 = np.repeat(head - start, size)
-    child1 += np.arange(len(child1))
-    child0 = child1 - 1
-    date_stop = stop[len(bounds) - 1::len(bounds)]
-    date_start = date_stop - rows[:-1].sum(axis=1)
-    date_head = date_start + np.where(rises[:, 0], 0, rows[:-1, 0])
-    must = first[:-1][rises].tolist()
-    cannot = (first + rows - 1)[:-1][capped].tolist()
-    must_at = np.cumsum(rises.sum(axis=1)).tolist()
-    cannot_at = np.cumsum(capped.sum(axis=1)).tolist()
-    layouts = [
-        (splits, h - s, child0[h:e], child1[s:e], must[m0:m1], cannot[c0:c1])
-        for splits, s, h, e, m0, m1, c0, c1 in zip(
-            first[1:, 1:].tolist(), date_start.tolist(), date_head.tolist(),
-            date_stop.tolist(), [0] + must_at, must_at,
-            [0] + cannot_at, cannot_at)
-    ]
-    return layouts.__getitem__, l_min, int((hi - lo + 1).sum())
+    rows = np.minimum(dates, hi) - l_min + 1
+    stop = np.cumsum(rows, axis=1)
+    first = stop - rows
+    # block b's rows at k + 1 start at padded row first + b + 1
+    stay = first[1:] + np.arange(1, len(bounds) + 1) - (l_min[1:] - l_min[:-1])
+    edges = np.concatenate([first, stop[:, -1:]], axis=1)[1:].tolist()
+    layouts = [(e, None, tuple(zip(f, s, st)))
+               for e, f, s, st in zip(edges, first.tolist(), stop.tolist(),
+                                      stay.tolist())]
+    return layouts, l_min
 
 
 def integer_prices(tree: QuantTree,
@@ -576,15 +540,16 @@ def integer_prices(tree: QuantTree,
 
     Each pair's purchase counts are a block of the induction's rows, and
     each block's values are bit for bit those :func:`quantized_dp_price`
-    computes for that pair alone.  No policy is kept.  Caps beyond the
-    horizon are clamped and non-integer bounds rejected as there.
+    computes for that pair alone: its continuation is its own matmul,
+    and its candidates are slices of it.  No policy is kept.  Caps
+    beyond the horizon are clamped and non-integer bounds rejected as
+    there.
     """
     if not bounds:
         return []
     n = tree.n
-    layout, _, terminal_rows = _count_layouts(
-        n, [_clamped_integer(q, n) for q in bounds])
-    for _, values, _ in _backward(tree, layout, terminal_rows, decisions=False):
+    layouts, _ = _count_layouts(n, [_clamped_integer(q, n) for q in bounds])
+    for _, values, _ in _backward(tree, layouts, decisions=False):
         pass  # the loop ends on date 0
     # date 0 has one row a block: no purchase yet, at the root point
     return values[:, 0].tolist()
@@ -598,48 +563,48 @@ def quantized_dp_price(
     Backward induction on the cumulated-purchase axis: before date ``k``
     the feasible purchase counts are ``l_min(k) .. min(k, q0_hi)``, with
     ``l_min(k) = (q0_lo - (n - k))^+`` (the floor must stay reachable), and
-    each state either keeps ``l`` or moves to ``l + 1``; it is the
-    one-block case of :func:`integer_prices`.  Returns the price, the
-    value of no purchase so far at the tree's single root point, and the
-    0/1 policy.  Non-integer bounds are rejected; price those from
-    :func:`premium_surface` via tile interpolation.
+    each state either keeps ``l`` or moves to ``l + 1``; both candidates
+    are slices of the padded continuation, and a forbidden one reads a
+    ``-inf`` pad row.  It is the one-block case of :func:`integer_prices`.
+    Returns the price, the value of no purchase so far at the tree's
+    single root point, and the 0/1 policy.  Non-integer bounds are
+    rejected; price those from :func:`premium_surface` via tile
+    interpolation.
     """
     n = tree.n
     q0 = _clamped_integer(q0, n)
-    layout, l_min, terminal_rows = _count_layouts(n, [q0])
+    layouts, l_min = _count_layouts(n, [q0])
     buy: list[np.ndarray] = [None] * n
-    for k, values, b in _backward(tree, layout, terminal_rows, decisions=True):
+    for k, values, b in _backward(tree, layouts, decisions=True):
         buy[k] = b
     return float(values[0, 0]), Policy(q0, l_min[:n, 0], buy)
 
 
 def _pair_layouts(n: int):
-    """``layout`` for :func:`_backward` over every residual pair.
+    """``layouts`` for :func:`_backward` over every residual pair.
 
     The rows of date ``k`` are the pairs ``(a, b)``, ``0 <= a <= b <= m``
     with ``m = n - k``, ordered as :func:`integer_vertices` (by ``b``,
-    then ``a``): a prefix of the pairs of horizon ``n``.  Their children
-    are pairs of horizon ``m - 1``, the first ``same = m (m + 1) / 2``
-    rows of that order.  Not buying keeps a pair with ``b < m``, and so
-    its row: those are exactly the rows ``< same``, which need no gather.
-    The last ``m + 1`` rows, ``(a, m)``, have no room left at horizon
-    ``m - 1`` and become ``(a, m - 1)``, ``m`` rows back.  Only ``(m, m)``
-    must buy and only ``(0, 0)`` cannot.  The index arrays are built once
-    and sliced, as building them afresh at every date costs about as much
-    as the induction.
+    then ``a``): a prefix of the pairs of horizon ``n``, one block.  Not
+    buying keeps a pair with ``b < m``, and so its row: the first
+    ``same = m (m + 1) / 2`` rows read the continuation as it stands.
+    The last ``m + 1`` rows, ``(a, m)``, become ``(a, m - 1)``, ``m`` rows
+    back, and ``(m, m)``, which must buy, reads the trailing pad.  A
+    purchase moves ``(a, b)`` to ``(max(a - 1, 0), b - 1)``, which no
+    slice follows: one gather index array, shifted past the leading pad,
+    is built once and sliced; ``(0, 0)``, which cannot buy, reads the
+    leading pad.
     """
     b, a = np.tril_indices(n + 1)
-    child1 = (b - 1) * b // 2 + np.maximum(a - 1, 0)
-    own = np.arange(len(a))
-
-    def layout(k):
-        m = n - k
+    gather = (b - 1) * b // 2 + np.maximum(a - 1, 0) + 1
+    gather[0] = 0
+    layouts = []
+    for m in range(n, 0, -1):
         same = m * (m + 1) // 2
         rows = same + m + 1
-        return ((), same, own[same - m:same + 1], child1[:rows], (rows - 1,),
-                (0,))
-
-    return layout
+        layouts.append(((0, same), gather[:rows],
+                        ((0, same, 1), (same, rows, same + 1 - m))))
+    return layouts
 
 
 def premium_surface(tree: QuantTree) -> PremiumSurface:
@@ -653,10 +618,11 @@ def premium_surface(tree: QuantTree) -> PremiumSurface:
     :func:`integer_vertices`.
     """
     n = tree.n
-    for _, values, _ in _backward(tree, _pair_layouts(n), 1, decisions=False):
+    for _, values, _ in _backward(tree, _pair_layouts(n), decisions=False):
         pass  # the loop ends on date 0
-    return PremiumSurface(n=n, values=dict(zip(integer_vertices(n),
-                                               values[:, 0].tolist())))
+    premia = values[:, 0].tolist()
+    del values  # the induction's buffer goes before the surface is built
+    return PremiumSurface(n=n, values=dict(zip(integer_vertices(n), premia)))
 
 
 # The bytes of factor rows a file-backed replay reads at a time.  The

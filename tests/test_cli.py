@@ -221,7 +221,10 @@ class TestExitCodes:
         (["price", "--qmax", "inf"], {}, 2),
         (["price"], {"Q_min": "nan"}, 2),
         (["price", "--qmin", "5"], {}, 3),  # finite, beyond 3 dates
-    ], ids=["qmin-nan", "qmax-inf", "config-qmin-nan", "floor-past-horizon"])
+        (["price"], {"Q_min": False}, 2),
+        (["price"], {"Q_max": True}, 2),
+    ], ids=["qmin-nan", "qmax-inf", "config-qmin-nan", "floor-past-horizon",
+            "config-qmin-bool", "config-qmax-bool"])
     def test_non_finite_bounds(self, tmp_path, args, pricing, code):
         path = write_config(tmp_path)
         doc = json.loads(path.read_text())
@@ -230,7 +233,8 @@ class TestExitCodes:
         res = run_cli(["--config", str(path)] + args)
         assert res.exit_code == code, res.output
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, True],
+                             ids=["nan", "inf", "bool"])
     @pytest.mark.parametrize("field", ["alpha1", "alpha2", "sigma1", "sigma2",
                                        "rho", "r", "T", "forward", "strike"])
     def test_non_finite_model_fields(self, tmp_path, field, value):
@@ -332,9 +336,11 @@ class TestExitCodes:
         lambda doc: {**doc, "pricing": None},
         lambda doc: {**doc, "output": "out"},
         lambda doc: {**doc, "output": {"directory": 5}},
+        lambda doc: {**doc, "model": {**doc["model"], "forward": True}},
+        lambda doc: {**doc, "model": {**doc["model"], "strike": False}},
     ], ids=["document-number", "document-list", "model-number",
             "pricing-list", "pricing-null", "output-string",
-            "directory-number"])
+            "directory-number", "forward-bool", "strike-bool"])
     def test_sections_of_the_wrong_type(self, tmp_path, edit):
         path = write_config(tmp_path)
         path.write_text(json.dumps(edit(json.loads(path.read_text()))))
