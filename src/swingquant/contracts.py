@@ -227,13 +227,6 @@ class Tile:
             return ((i, j), (i, j + 1), (i + 1, j + 1))
         return ((i, j), (i + 1, j), (i + 1, j + 1))
 
-    def contains(self, u: float, v: float, tol: float = TOL) -> bool:
-        i, j = self.i, self.j
-        if not (i - tol <= u <= i + 1 + tol and j - tol <= v <= j + 1 + tol):
-            return False
-        d = v - u - (j - i)
-        return d >= -tol if self.orientation == _UPPER else d <= tol
-
 
 def _box_index(x: float, n: int) -> int:
     """Smallest box index whose closed unit interval contains coordinate x."""

@@ -37,6 +37,7 @@ from .model import (
 )
 from .quantizer import (
     Codebook,
+    _distinct_codebook,
     clvq_optimize,
     has_distinct_rows,
     lloyd_optimize,
@@ -196,27 +197,24 @@ def _fit_grid(
         return Codebook(np.unique(fit, axis=0)), None
 
     scale = fit.std(axis=0)
-    init = None
+    grid = None
     if prev_scale is not None and prev.n_points == n_bar:
         ratio = np.where(prev_scale > 0,
                          scale / np.maximum(prev_scale, 1e-300), 1.0)
-        cand = prev.points * ratio
-        if len(np.unique(cand, axis=0)) == n_bar:
-            init = cand
-    if init is None:
+        grid = _distinct_codebook(prev.points * ratio)
+    if grid is None:
         uniq = np.unique(fit, axis=0)
         picks = rng.choice(len(uniq), size=n_bar, replace=False)
-        init = uniq[np.sort(picks)]
+        grid = Codebook(uniq[np.sort(picks)])
     if optimizer != "lloyd":
+        # a pass that makes two points coincide returns its start
         order = rng.permutation(len(fit))[:_CLVQ_STEPS_PER_POINT * n_bar]
-        seeded, _ = clvq_optimize(fit[order], Codebook(init))
-        if len(np.unique(seeded.points, axis=0)) == n_bar:
-            init = seeded.points
+        grid, _ = clvq_optimize(fit[order], grid)
     if optimizer != "clvq":
-        cb, _ = lloyd_optimize(fit, Codebook(init),
+        cb, _ = lloyd_optimize(fit, grid,
                                max_iter=_LLOYD_MAX_ITER, tol=_LLOYD_TOL)
-        init = cb.points
-    return Codebook(init), scale
+        grid = Codebook(cb.points)
+    return grid, scale
 
 
 def _count_transitions(

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swingquant.contracts import (
+    TOL,
     ConstraintViolationError,
     GlobalConstraints,
     InfeasibleContractError,
@@ -26,6 +27,15 @@ from swingquant.contracts import (
 
 def gc(lo, hi):
     return GlobalConstraints(lo, hi)
+
+
+def tile_contains(tile, u, v, tol=TOL):
+    """Whether the closed triangle ``tile`` holds ``(u, v)``, up to ``tol``."""
+    i, j = tile.i, tile.j
+    if not (i - tol <= u <= i + 1 + tol and j - tol <= v <= j + 1 + tol):
+        return False
+    d = v - u - (j - i)
+    return d >= -tol if tile.orientation == "upper" else d <= tol
 
 
 class TestGlobalConstraints:
@@ -165,7 +175,7 @@ class TestLocateTile:
         u = a * n
         v = u + b * (n - u)
         tile = locate_tile(gc(u, v), n)
-        assert tile.contains(u, v)
+        assert tile_contains(tile, u, v)
         assert 0 <= tile.i <= tile.j <= n - 1
 
 

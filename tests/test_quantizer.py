@@ -9,13 +9,13 @@ import numpy as np
 import pytest
 
 import swingquant
+from swingquant import quantizer
 from swingquant.quantizer import (
     Codebook,
     clvq_optimize,
     distortion,
     has_distinct_rows,
     lloyd_optimize,
-    nearest_index,
     nearest_indices,
     newton_optimize_1d_normal,
 )
@@ -25,6 +25,13 @@ ROOT_2_OVER_PI = 0.7978845608028654  # two-point stationary quantizer of N(0,1)
 
 def cb1d(*values, weights=None):
     return Codebook(np.asarray(values, dtype=float)[:, None], weights)
+
+
+def nearest_index(y, cb):
+    """Index of the point of ``cb`` closest to ``y`` (smallest index on
+    ties), one point at a time: the reference for the blocked scan."""
+    d2 = ((cb.points - np.asarray(y, dtype=float)) ** 2).sum(axis=1)
+    return int(np.argmin(d2))
 
 
 class TestCodebook:
@@ -51,20 +58,20 @@ class TestCodebook:
 class TestNearest:
     def test_basic(self):
         cb = cb1d(-1.0, 0.5, 2.0)
-        assert nearest_index([0.0], cb) == 1
+        assert nearest_indices([[0.0]], cb).tolist() == [1]
 
     def test_tie_goes_to_smallest_index(self):
         cb = cb1d(-1.0, 0.5, 2.0)
-        assert nearest_index([-0.25], cb) == 0
+        assert nearest_indices([[-0.25]], cb).tolist() == [0]
 
     def test_far_point(self):
         cb = cb1d(-1.0, 0.5, 2.0)
-        assert nearest_index([10.0], cb) == 2
+        assert nearest_indices([[10.0]], cb).tolist() == [2]
 
     def test_dimension_mismatch(self):
         cb = Codebook(np.zeros((1, 2)))
-        with pytest.raises(ValueError):
-            nearest_index([1.0], cb)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            nearest_indices([[1.0]], cb)
 
     def test_batch_matches_scalar_1d_paths(self):
         rng = np.random.default_rng(3)
@@ -381,6 +388,91 @@ class TestClvq:
         got = np.sort(cb.points[:, 0])
         assert abs(got[0] + ROOT_2_OVER_PI) < 0.05
         assert abs(got[1] - ROOT_2_OVER_PI) < 0.05
+
+
+class TestClvqLoops:
+    """The Python-float step loop against the numpy loop, the reference."""
+
+    BOUND = quantizer._CLVQ_FLOAT_POINTS
+
+    @pytest.mark.parametrize("n_points", [1, 2, 6, 16, BOUND, BOUND + 1, 200])
+    def test_random_samples_bit_for_bit(self, n_points):
+        rng = np.random.default_rng(n_points)
+        cb0 = Codebook(rng.normal(size=(n_points, 2)))
+        y = rng.normal(size=(30 * n_points, 2)) * [1.0, 2.7]
+        want = quantizer._clvq_array(y, cb0.points)
+        assert np.array_equal(quantizer._clvq_floats(y, cb0.points), want)
+        cb, report = clvq_optimize(y, cb0)
+        assert np.array_equal(cb.points, want)
+        assert report.converged and report.iterations == len(y)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_ties_go_to_the_smallest_index(self, seed):
+        # integer points and samples: many samples lie at the same
+        # distance from two or more points
+        rng = np.random.default_rng(seed)
+        cb0 = Codebook([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0], [2.0, 2.0],
+                        [4.0, 0.0], [4.0, 4.0]])
+        y = rng.integers(-1, 6, size=(400, 2)).astype(float)
+        y[0] = [1.0, 0.0]  # equidistant from points 0 and 1
+        want = quantizer._clvq_array(y, cb0.points)
+        assert np.array_equal(quantizer._clvq_floats(y, cb0.points), want)
+        cb, _ = clvq_optimize(y, cb0)
+        assert np.array_equal(cb.points, want)
+        first = quantizer._clvq_floats(y[:1], cb0.points)
+        assert first[0, 0] > 0.0 and np.array_equal(first[1:], cb0.points[1:])
+
+    @pytest.mark.parametrize("shape,loop", [
+        ((6, 2), "_clvq_floats"), ((BOUND, 2), "_clvq_floats"),
+        ((BOUND + 1, 2), "_clvq_array"), ((6, 1), "_clvq_array"),
+        ((6, 3), "_clvq_array"),
+    ])
+    def test_loop_by_size_and_dimension(self, monkeypatch, shape, loop):
+        rng = np.random.default_rng(7)
+        cb0 = Codebook(rng.normal(size=shape))
+        y = rng.normal(size=(50, shape[1]))
+        calls = []
+        for name in ("_clvq_floats", "_clvq_array"):
+            original = getattr(quantizer, name)
+
+            def recorded(*args, name=name, original=original):
+                calls.append(name)
+                return original(*args)
+            monkeypatch.setattr(quantizer, name, recorded)
+        cb, _ = clvq_optimize(y, cb0)
+        assert calls == [loop]
+        monkeypatch.undo()
+        assert np.array_equal(cb.points, quantizer._clvq_array(y, cb0.points))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_zero_rows_return_the_start(self, dim):
+        cb0 = Codebook(np.arange(3.0 * dim).reshape(3, dim))
+        cb, report = clvq_optimize(np.empty((0, dim)), cb0)
+        assert cb is cb0
+        assert report.iterations == 0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sample_raises_on_both_loops(self, monkeypatch, bad):
+        rng = np.random.default_rng(9)
+        cb0 = Codebook(rng.normal(size=(6, 2)))
+        y = rng.normal(size=(180, 2))
+        y[17, 1] = bad
+        with pytest.raises(ValueError, match="^non-finite codebook point$"):
+            clvq_optimize(y, cb0)
+        monkeypatch.setattr(quantizer, "_CLVQ_FLOAT_POINTS", 0)
+        with pytest.raises(ValueError, match="^non-finite codebook point$"):
+            clvq_optimize(y, cb0)
+
+    def test_collapsed_pass_returns_its_start(self, monkeypatch):
+        rng = np.random.default_rng(10)
+        cb0 = Codebook(rng.normal(size=(6, 2)))
+        y = rng.normal(size=(180, 2))
+        monkeypatch.setattr(quantizer, "_clvq_floats",
+                            lambda y, points: np.zeros_like(points))
+        cb, report = clvq_optimize(y, cb0)
+        assert cb is cb0
+        assert not report.converged
+        assert report.iterations == len(y)
 
 
 class TestNewtonNormal:

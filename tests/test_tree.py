@@ -1,4 +1,5 @@
 """Quantized pricing engine tests."""
+import hashlib
 import io
 import math
 import os
@@ -26,6 +27,7 @@ from swingquant.model import (
 )
 from swingquant.oracle import price_lattice_bruteforce
 from swingquant.quantizer import Codebook, distortion, nearest_indices
+from swingquant import quantizer
 from swingquant import tree as tree_module
 from swingquant.tree import (
     OPTIMIZERS,
@@ -126,6 +128,18 @@ def trees_with_bounds(draw):
 
 
 make_params = flat_params
+
+
+def tree_hash(tree):
+    """First 16 hex digits of the SHA-256 of every grid's points and
+    weights, date by date, then of every transition matrix."""
+    h = hashlib.sha256()
+    for g in tree.grids:
+        h.update(g.points.tobytes())
+        h.update(g.weights.tobytes())
+    for t in tree.transitions:
+        h.update(t.tobytes())
+    return h.hexdigest()[:16]
 
 
 def build_paths(params, n_samples, seed):
@@ -269,6 +283,32 @@ class TestBuildTree:
         finally:
             tracemalloc.stop()
         assert peak < path_array / 2
+
+    def test_collapsed_clvq_seed_falls_back_to_its_start(self, monkeypatch):
+        # a pass whose points coincide leaves the date's grid at the
+        # previous grid, rescaled to this date's cloud
+        rng = np.random.default_rng(8)
+        z = rng.normal(size=(2_000, 2)) * [0.3, 1.2]
+        prev = Codebook(rng.normal(size=(6, 2)))
+        prev_scale = np.array([0.25, 1.5])
+        monkeypatch.setattr(quantizer, "_clvq_floats",
+                            lambda y, points: np.zeros_like(points))
+        grid, scale = tree_module._fit_grid(z, prev, prev_scale, 6,
+                                            np.random.default_rng(1), "clvq")
+        assert np.array_equal(scale, z.std(axis=0))
+        assert np.array_equal(grid.points, prev.points * (scale / prev_scale))
+        assert grid.weights is None
+
+    @pytest.mark.parametrize("n,T,fit,want", [
+        (30, 30 / 365, dict(n_bar=16, n_samples=200_000, seed=7,
+                            optimizer="clvq-lloyd"), "c86c7436c569ac3b"),
+        (365, 1.0, dict(n_bar=6, n_samples=8_000, seed=11, optimizer="clvq"),
+         "66aefbce2c8b8245"),
+    ], ids=["month_desk", "year_book"])
+    def test_desk_trees_pinned_by_hash(self, n, T, fit, want):
+        # the benchmark desks' trees, bit for bit: any change to the
+        # simulation, grid fit or counting that moves one bit fails here
+        assert tree_hash(build_tree(make_params(n=n, T=T), **fit)) == want
 
 
 class TestQuantTree:
