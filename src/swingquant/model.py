@@ -41,6 +41,10 @@ __all__ = [
 ]
 
 
+# Rows per block of the standardising product; the results do not depend on it
+_STANDARDIZE_BLOCK = 16384
+
+
 @dataclass(frozen=True)
 class TwoFactorParams:
     """Model and contract data for an n-date swing on the two-factor spot."""
@@ -179,8 +183,11 @@ def factor_states(
             # before the innovations are drawn
             state = state * decay
             if antithetic:
+                # in place, and ``x - e`` is ``x + (-e)`` to the bit
                 e = rng.standard_normal((half, 2)) @ chol.T
-                state += np.concatenate([e, -e], axis=0)[:n_paths]
+                state[:half] += e
+                state[half:] -= e[:n_paths - half]
+                del e  # not kept while the generator is suspended
             else:
                 state += rng.standard_normal((n_paths, 2)) @ chol.T
             yield state
@@ -198,20 +205,51 @@ def standardized_state(params: TwoFactorParams, k: int,
     Monte-Carlo error of smooth functionals while perturbing the joint
     law only at O(1/sqrt(n_paths)).  Date 0, the deterministic start
     (0, 0), is copied as it is.  ``state`` itself is not modified, so the
-    raw recursion can go on from it.
+    raw recursion can go on from it.  The map is applied to the centred
+    states in place, in blocks of ``_STANDARDIZE_BLOCK`` rows or more, to
+    the bits of one product over all rows.
     """
     if len(state) < 10:
         raise ValueError("standardization requires at least 10 paths")
     if k == 0:
         return state.copy()
     target = factor_marginal_covariance(params, k * params.dt)
-    centred = state - state.mean(axis=0)
+    centred = np.empty(state.shape)
+    np.subtract(state, _axis0_mean(state, centred), out=centred)
     sample_cov = centred.T @ centred / len(state)
     ls = _chol2(sample_cov)
     lt = _chol2(target)
     # map B with B' S B = target:  B = Ls^-T Lt^T
     b = np.linalg.solve(ls.T, lt.T)
-    return centred @ b
+    # the last block takes the remainder, so that no block is a one-row
+    # product (a matrix-vector kernel) unless the whole one is
+    starts = range(0, max(len(centred) - _STANDARDIZE_BLOCK, 1),
+                   _STANDARDIZE_BLOCK)
+    for start, stop in zip(starts, [*starts[1:], len(centred)]):
+        rows = centred[start:stop]
+        rows[...] = rows @ b
+    return centred
+
+
+def _axis0_mean(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``a.mean(axis=0)`` of an ``(M, d)`` array, bit for bit, in less time.
+
+    numpy sums axis 0 of such an array row after row, from ``+0.0``; the
+    running sums down axis 0, written into ``out`` (of ``a``'s shape, or
+    ``a`` itself), add in the same order, and adding ``+0.0`` turns an
+    all-``-0.0`` column's ``-0.0`` into numpy's ``+0.0``.
+    """
+    np.cumsum(a, axis=0, out=out)
+    return (out[-1] + 0.0) / len(a)
+
+
+def _axis0_std(a: np.ndarray) -> np.ndarray:
+    """``a.std(axis=0)`` of an ``(M, d)`` array, through numpy's own steps
+    with :func:`_axis0_mean` for its means, so to the same bits."""
+    x = np.empty(a.shape)
+    np.subtract(a, _axis0_mean(a, x), out=x)
+    x *= x
+    return np.sqrt(_axis0_mean(x, x))
 
 
 def simulate_factor_paths(

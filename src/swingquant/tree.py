@@ -20,6 +20,8 @@ import json
 import logging
 import math
 import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,6 +31,7 @@ import numpy as np
 from .contracts import GlobalConstraints, PremiumSurface, integer_vertices
 from .model import (
     TwoFactorParams,
+    _axis0_std,
     dynamics_to_dict,
     factor_states,
     spot_factor,
@@ -38,6 +41,7 @@ from .model import (
 from .quantizer import (
     Codebook,
     _distinct_codebook,
+    _scan,
     clvq_optimize,
     has_distinct_rows,
     lloyd_optimize,
@@ -196,7 +200,7 @@ def _fit_grid(
     if not has_distinct_rows(fit, n_bar + 1):
         return Codebook(np.unique(fit, axis=0)), None
 
-    scale = fit.std(axis=0)
+    scale = _axis0_std(fit)
     grid = None
     if prev_scale is not None and prev.n_points == n_bar:
         ratio = np.where(prev_scale > 0,
@@ -223,11 +227,12 @@ def _count_transitions(
     """Row-stochastic matrix ``k -> k + 1`` from the paths' node indices.
 
     Rows never visited default to the next date's marginal cell
-    frequencies, and are logged.
+    frequencies, and are logged.  ``idx_prev`` is overwritten.
     """
-    counts = np.bincount(
-        idx_prev * n_to + idx_next, minlength=n_from * n_to
-    ).reshape(n_from, n_to).astype(float)
+    idx_prev *= n_to
+    idx_prev += idx_next
+    counts = np.bincount(idx_prev, minlength=n_from * n_to
+                         ).reshape(n_from, n_to).astype(float)
     row_sums = counts.sum(axis=1)
     empty = row_sums == 0
     if empty.any():
@@ -314,8 +319,8 @@ def build_tree(
     date: each date's states are standardised, fitted as
     :func:`build_grids` does, projected onto their grid and counted
     against the previous date's nodes as :func:`estimate_transitions`
-    does, so only a few dates' states are held at a time, and the tree is
-    bit for bit the one those two functions build from the path array
+    does, so at most two dates' states are held at a time, and the tree
+    is bit for bit the one those two functions build from the path array
     that stacks :func:`~swingquant.model.standardized_state` over the
     antithetic :func:`~swingquant.model.factor_states`.  Date ``n`` is
     never drawn.  Grid weights are
@@ -323,6 +328,14 @@ def build_tree(
     the path-set marginals), so the weights, transition matrices and
     backward induction are mutually consistent to machine precision, and
     :func:`load_tree` derives the same weights from the saved transitions.
+
+    The build runs on two threads.  The calling thread fits the grids in
+    date order; one helper thread, started and joined within the call,
+    meanwhile counts the previous date against its grid and then draws
+    the next date (:class:`_PathStage`).  Each random generator is used
+    on one thread only, so the tree does not depend on their timing.  An
+    error on either thread is raised here, and an interrupt cancels the
+    helper's queued work.
 
     Each date's grid spots are rescaled by a constant so the weighted spot
     mean reprices the forward exactly.  Collapsing the spot exponential
@@ -335,24 +348,70 @@ def build_tree(
     _check_fit(n_bar, n_samples, optimizer)
     rng = _grid_rng(seed)
     grids = [_root_grid()]
-    transitions: list[np.ndarray] = []
     scale = None
-    idx_prev = np.zeros(n_samples, dtype=np.intp)  # every path at the root
-    states = factor_states(params, n_samples, seed, antithetic=True)
-    next(states)  # date 0, the deterministic start
-    for k, state in zip(range(1, params.n), states):
-        z = standardized_state(params, k, state)
-        z *= params.vols
-        grid, scale = _fit_grid(z, grids[-1], scale, n_bar, rng, optimizer)
-        idx = nearest_indices(z, grid)
-        transitions.append(_count_transitions(
-            k - 1, idx_prev, idx, grids[-1].n_points, grid.n_points))
-        grids.append(grid)
-        idx_prev = idx
+    paths = _PathStage(params, n_samples, seed)
+    helper = ThreadPoolExecutor(max_workers=1)
+    try:
+        # the helper runs its calls in submission order: while date k is
+        # fitted it counts date k - 1, then draws date k + 1
+        draws = deque(helper.submit(paths.draw)
+                      for _ in range(min(2, params.n - 1)))
+        counts: deque = deque()
+        transitions: list[np.ndarray] = []
+        for k in range(1, params.n):
+            z = draws.popleft().result()
+            # the counts queued before this draw are done: a failed one
+            # stops the build here
+            while counts and counts[0].done():
+                transitions.append(counts.popleft().result())
+            grid, scale = _fit_grid(z, grids[-1], scale, n_bar, rng, optimizer)
+            grids.append(grid)
+            counts.append(helper.submit(paths.count, k, z, grid))
+            if k + 2 < params.n:
+                draws.append(helper.submit(paths.draw))
+        transitions.extend(c.result() for c in counts)
+    finally:
+        helper.shutdown(cancel_futures=True)
     grids = stacked_codebooks(np.concatenate([g.points for g in grids]),
                               [g.n_points for g in grids],
                               np.concatenate(_chained(transitions)))
     return QuantTree(params, grids, transitions, _payoffs(params, grids))
+
+
+class _PathStage:
+    """The paths of :func:`build_tree`, drawn and counted date by date.
+
+    Its methods run on the build's helper thread, one call at a time, so
+    the paths' generator and the two index buffers need no lock.  They
+    call none of the other modules' public functions, which a tracer such
+    as ``perfbench/spans.py``'s wraps with one span stack for all threads.
+    """
+
+    def __init__(self, params: TwoFactorParams, n_samples: int, seed: int):
+        self._params = params
+        self._states = factor_states(params, n_samples, seed, antithetic=True)
+        next(self._states)  # date 0, the deterministic start
+        self._k = 0
+        self._idx_prev = np.zeros(n_samples, dtype=np.intp)  # all at the root
+        self._idx = np.empty(n_samples, dtype=np.intp)
+        self._n_prev = 1
+
+    def draw(self) -> np.ndarray:
+        """The next date's standardised, volatility-scaled states."""
+        self._k += 1
+        z = standardized_state(self._params, self._k, next(self._states))
+        z *= self._params.vols
+        return z
+
+    def count(self, k: int, z: np.ndarray, grid: Codebook) -> np.ndarray:
+        """Transition ``k - 1 -> k``, from date ``k``'s states ``z`` on
+        their grid and the nodes the previous call found."""
+        _scan(z, grid.points, self._idx)
+        t = _count_transitions(k - 1, self._idx_prev, self._idx,
+                               self._n_prev, grid.n_points)
+        self._idx_prev, self._idx = self._idx, self._idx_prev
+        self._n_prev = grid.n_points
+        return t
 
 
 def _chained(transitions: list[np.ndarray]) -> list[np.ndarray]:

@@ -8,6 +8,7 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -732,6 +733,30 @@ class TestTreeCache:
         assert cache == {"manifest.json", "grids.npy", "transitions.npy"}
         _, again, timings = ensure_tree(cfg)
         assert again == manifest and "load_seconds" in timings
+
+    def test_interrupted_cold_build_publishes_nothing(self, tmp_path,
+                                                     monkeypatch):
+        path = write_config(tmp_path, sigma1=0.36, sigma2=1.11, n=6,
+                            n_bar=3, n_samples=1000)
+        fit = tree._fit_grid
+        calls = []
+
+        def interrupted(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 3:  # date 3, while the helper draws date 4
+                raise KeyboardInterrupt
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(tree, "_fit_grid", interrupted)
+        threads = threading.active_count()
+        res = run_cli(["--config", str(path), "tree"])
+        monkeypatch.undo()
+        assert res.exit_code == 1 and "Aborted" in res.output
+        assert threading.active_count() == threads
+        cache = load_config(path).out_dir / "cache"
+        assert not cache.exists() or not any(cache.iterdir())
+        assert run_cli(["--config", str(path), "tree"]).exit_code == 0
+        assert [p.suffix for p in cache.iterdir()] == [""]
 
     def test_publishing_prunes_what_cannot_hit(self, tmp_path, monkeypatch):
         cfg = load_config(write_config(tmp_path, sigma1=0.36, sigma2=1.11,

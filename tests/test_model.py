@@ -22,6 +22,7 @@ from swingquant.model import (
     standardized_state,
     variance_lambda,
 )
+from swingquant import model
 
 # frozen with 30-digit arithmetic from the closed form
 LAMBDA_ONE_YEAR_REFERENCE_SET = 0.20429334170788006
@@ -104,15 +105,19 @@ class TestSimulation:
     @pytest.mark.parametrize("antithetic", [False, True])
     def test_factor_states_are_the_paths(self, antithetic):
         p = make_params(n=6)
-        paths = simulate_factor_paths(p, 301, seed=5, antithetic=antithetic)
-        states = list(factor_states(p, 301, seed=5, antithetic=antithetic))
-        assert len(states) == p.n + 1
-        for k, state in enumerate(states):
-            assert np.array_equal(state, paths[:, k, :]), k
-        # a consumer that stops early reads the same leading states
-        early = factor_states(p, 301, seed=5, antithetic=antithetic)
-        for k, state in zip(range(3), early):
-            assert np.array_equal(state, paths[:, k, :]), k
+        # an odd path count cuts the antithetic mirror short
+        for n_paths in (301, 300):
+            paths = simulate_factor_paths(p, n_paths, seed=5,
+                                          antithetic=antithetic)
+            states = list(factor_states(p, n_paths, seed=5,
+                                        antithetic=antithetic))
+            assert len(states) == p.n + 1
+            for k, state in enumerate(states):
+                assert np.array_equal(state, paths[:, k, :]), k
+            # a consumer that stops early reads the same leading states
+            early = factor_states(p, n_paths, seed=5, antithetic=antithetic)
+            for k, state in zip(range(3), early):
+                assert np.array_equal(state, paths[:, k, :]), k
 
     def test_antithetic_mirrors(self):
         p = make_params(n=4)
@@ -130,6 +135,33 @@ class TestSimulation:
             np.testing.assert_allclose(
                 cov, factor_marginal_covariance(p, k * p.dt), atol=1e-12
             )
+
+    def test_standardize_product_ignores_the_block(self, monkeypatch):
+        p = make_params(n=3)
+        # 971 rows would leave one row to a last block of its own
+        for n_paths in (1001, 971, 194, 50):
+            state = simulate_factor_paths(p, n_paths, seed=4,
+                                          antithetic=True)[:, 2]
+            want = standardized_state(p, 2, state)
+            monkeypatch.setattr(model, "_STANDARDIZE_BLOCK", 97)
+            assert np.array_equal(standardized_state(p, 2, state), want)
+            monkeypatch.undo()
+
+    def test_axis0_reductions_are_numpys(self):
+        # numpy's own axis-0 order, so a numpy that reorders its sums
+        # fails here before it moves a pinned tree hash
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            m = int(rng.integers(1, 30_000))
+            a = rng.normal(size=(m, 2)) * rng.uniform(0.01, 3.0, 2)
+            a += rng.normal(size=2)
+            for v in (a, a[::int(rng.integers(2, 6))]):
+                mean = model._axis0_mean(v, np.empty(v.shape))
+                assert np.array_equal(mean, np.mean(v, axis=0))
+                assert np.array_equal(model._axis0_std(v), np.std(v, axis=0))
+        zeros = np.array([[-0.0, 0.0]] * 5)
+        mean = model._axis0_mean(zeros, np.empty(zeros.shape))
+        assert not np.signbit(mean).any()
 
     def test_refinement_consistency(self):
         # Marginal law at a common date is the same under n and 2n steps.

@@ -3,6 +3,9 @@ import hashlib
 import io
 import math
 import os
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -283,6 +286,80 @@ class TestBuildTree:
         finally:
             tracemalloc.stop()
         assert peak < path_array / 2
+
+    def test_pipeline_holds_two_dates_of_states(self):
+        # while date k is fitted the helper counts date k - 1, frees its
+        # states and only then draws date k + 1: about 5.1 states here
+        # (two dates, the raw recursion's two, the innovations and the
+        # node buffers).  Drawing first would hold a third date, 6.1.
+        n_samples = 200_000
+        state = 16 * n_samples
+        # a first build's lazy imports stay out of the count
+        build_tree(make_params(n=4), n_bar=2, n_samples=2_000, seed=1,
+                   optimizer="clvq")
+        tracemalloc.start()
+        try:
+            build_tree(make_params(n=12), n_bar=16, n_samples=n_samples,
+                       seed=7, optimizer="clvq")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5.5 * state
+
+    @pytest.mark.parametrize("name,error", [
+        ("_fit_grid", ArithmeticError),
+        ("standardized_state", ValueError),
+        ("_count_transitions", MemoryError),
+        ("_fit_grid", KeyboardInterrupt),
+    ], ids=["fit", "draw", "count", "fit-interrupt"])
+    def test_error_at_date_3_is_raised_and_the_helper_joined(
+            self, monkeypatch, name, error):
+        # each stage runs its dates in order, so its third call is date 3
+        original = getattr(tree_module, name)
+        calls = []
+
+        def failing(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 3:
+                raise error(f"{name} at date 3")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(tree_module, name, failing)
+        fit, fits = tree_module._fit_grid, []
+
+        def counted(*args, **kwargs):
+            fits.append(None)
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(tree_module, "_fit_grid", counted)
+        threads = threading.active_count()
+        with pytest.raises(error, match="at date 3"):
+            build_tree(make_params(n=8), n_bar=4, n_samples=5_000, seed=2)
+        assert threading.active_count() == threads
+        # the build stops at the failure, not after the last of 7 fits:
+        # date 3's count runs while date 4 is fitted
+        assert len(fits) <= 4
+
+    @pytest.mark.parametrize("slow", ["standardized_state", "_fit_grid"])
+    def test_tree_ignores_the_threads_timing(self, monkeypatch, slow):
+        # either stage lagging, and the threads switched every few
+        # microseconds: the same tree, bit for bit
+        params = make_params(n=8)
+        want = tree_hash(build_tree(params, 6, 6_000, seed=3))
+        original = getattr(tree_module, slow)
+
+        def lagging(*args, **kwargs):
+            time.sleep(0.01)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(tree_module, slow, lagging)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            got = tree_hash(build_tree(params, 6, 6_000, seed=3))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want
 
     def test_collapsed_clvq_seed_falls_back_to_its_start(self, monkeypatch):
         # a pass whose points coincide leaves the date's grid at the
