@@ -236,20 +236,63 @@ def tree_cache_key(cfg: RunConfig) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
+def _remove(path: Path) -> None:
+    """Delete whatever stands at ``path``: a directory tree or a file."""
+    if path.is_dir() and not path.is_symlink():
+        shutil.rmtree(path)
+    else:
+        path.unlink(missing_ok=True)
+
+
+def _load(entry: Path, load):
+    """``load(entry)``, or ``None`` when the caller must build the entry.
+
+    That is when nothing stands at ``entry``, or when the load raises a
+    :data:`DAMAGED_ENTRY` error: then whatever stands there, a directory
+    or a regular file, is deleted.
+    """
+    if not entry.exists():
+        return None
+    try:
+        return load(entry)
+    except DAMAGED_ENTRY as exc:
+        log.warning("cache entry %s rejected: %s; rebuilding", entry, exc)
+        _remove(entry)
+        return None
+
+
 @contextmanager
-def _publish(entry: Path):
+def _publish(entry: Path, stale):
     """Yield ``<entry>.partial/`` to write a cache entry into, then publish it.
 
     A ``.partial`` left by an interrupted run is cleared first.  The entry
     appears under its own name only by the final rename, so one that
-    exists was written in full.
+    exists was written in full.  Then every other sibling for which
+    ``stale(sibling)`` holds is deleted, under the caller's output lock.
     """
     partial = entry.with_name(entry.name + ".partial")
-    if partial.exists():
-        shutil.rmtree(partial)
+    _remove(partial)
     partial.mkdir(parents=True)
     yield partial
     os.rename(partial, entry)
+    for other in entry.parent.iterdir():
+        if other != entry and stale(other):
+            _remove(other)
+
+
+def _cannot_hit(other: Path) -> bool:
+    """Whether a sibling of a tree entry is one no run can hit again: the
+    ``.partial`` of an interrupted build, or an entry whose manifest names
+    another ``package_version``.  Entries of other settings stay, as does
+    one whose manifest does not parse, until a run that wants its key
+    rebuilds it.
+    """
+    try:
+        return other.name.endswith(".partial") or json.loads(
+            (other / "manifest.json").read_text()
+        )["package_version"] != __version__
+    except (OSError, ValueError, TypeError, KeyError):
+        return False
 
 
 def ensure_tree(cfg: RunConfig) -> tuple[QuantTree, dict, dict]:
@@ -259,58 +302,38 @@ def ensure_tree(cfg: RunConfig) -> tuple[QuantTree, dict, dict]:
     ``<out>/cache/<key>`` and hold only what the key hashes (grids,
     transitions, manifest), beside the policy replays of
     :func:`ensure_replay`.  A hit derives the payoffs from the configured
-    curves, and ``timings`` holds only ``load_seconds``.  A directory
-    whose load raises a :data:`DAMAGED_ENTRY` error (a missing or
-    truncated file, a damaged manifest, other dynamics) or whose key
-    differs is deleted and rebuilt.  Publishing an entry prunes the
-    cache of what can never hit again (:func:`_prune_stale`).
+    curves, and ``timings`` holds only ``load_seconds``.  An entry whose
+    load raises a :data:`DAMAGED_ENTRY` error (a missing or truncated
+    file, a damaged manifest, other dynamics, a regular file in place of
+    the directory) or whose key differs is deleted and rebuilt
+    (:func:`_load`).  Publishing an entry prunes the cache of what can
+    never hit again (:func:`_cannot_hit`).
     """
     key = tree_cache_key(cfg)
     cache_dir = cfg.out_dir / "cache" / key
-    if cache_dir.exists():
-        t0 = time.perf_counter()
-        try:
-            tree, manifest = load_tree(cache_dir, cfg.params)
-            if manifest.get("cache_key") != key:
-                raise ValueError(f"it holds key {manifest.get('cache_key')}")
-            log.info("cache hit: %s", cache_dir)
-            return tree, manifest, {"load_seconds": time.perf_counter() - t0}
-        except DAMAGED_ENTRY as exc:
-            log.warning("cache %s rejected: %s; rebuilding", cache_dir, exc)
-            shutil.rmtree(cache_dir)
-    timings: dict[str, float] = {}
+
+    def load(entry):
+        tree, manifest = load_tree(entry, cfg.params)
+        if manifest.get("cache_key") != key:
+            raise ValueError(f"it holds key {manifest.get('cache_key')}")
+        return tree, manifest
+
+    t0 = time.perf_counter()
+    hit = _load(cache_dir, load)
+    if hit is not None:
+        log.info("cache hit: %s", cache_dir)
+        return *hit, {"load_seconds": time.perf_counter() - t0}
     t0 = time.perf_counter()
     tree = build_tree(
         cfg.params, cfg.n_bar, cfg.n_samples, cfg.seed, cfg.optimizer
     )
-    timings["build_tree_seconds"] = time.perf_counter() - t0
+    timings = {"build_tree_seconds": time.perf_counter() - t0}
     t0 = time.perf_counter()
-    with _publish(cache_dir) as partial:
+    with _publish(cache_dir, _cannot_hit) as partial:
         manifest = save_tree(tree, partial,
                              {**_tree_fields(cfg), "cache_key": key})
-    _prune_stale(cache_dir)
     timings["persist_seconds"] = time.perf_counter() - t0
     return tree, manifest, timings
-
-
-def _prune_stale(entry: Path) -> None:
-    """Delete the siblings of a tree entry that no run can hit again: the
-    ``.partial`` directories of interrupted builds and the entries whose
-    manifest names another ``package_version``.  Entries of other
-    settings stay, as does one whose manifest does not parse, until a run
-    that wants its key rebuilds it.  Runs under the caller's output lock.
-    """
-    for other in entry.parent.iterdir():
-        if other == entry or not other.is_dir():
-            continue
-        try:
-            stale = other.name.endswith(".partial") or json.loads(
-                (other / "manifest.json").read_text()
-            )["package_version"] != __version__
-        except (OSError, ValueError, TypeError, KeyError):
-            continue
-        if stale:
-            shutil.rmtree(other)
 
 
 def ensure_replay(cfg: RunConfig, tree: QuantTree,
@@ -320,30 +343,23 @@ def ensure_replay(cfg: RunConfig, tree: QuantTree,
     The replay lives beside the tree, in
     ``replay-<policy_seed>-<policy_paths>/``, so it goes with the tree
     when that is rebuilt.  It is written by :func:`save_policy_replay`
-    and published as the tree is (:func:`_publish`), and either way read
-    back by :func:`load_policy_replay`: the nodes in memory, the factors
-    read from the entry's file a block of dates at a time as they are
-    valued.  An entry that fails to load or does not fit the tree is
-    deleted and rebuilt.  A key keeps one replay: publishing one deletes
-    the key's other ``replay-*`` entries, finished or partial, under the
-    caller's output lock.  Returns ``(replay, timings)``, with
-    ``replay_load_seconds`` on a hit and ``replay_build_seconds``
-    otherwise.
+    and loaded, published and rejected by the tree's rules (:func:`_load`,
+    :func:`_publish`), and either way read back by
+    :func:`load_policy_replay`: the nodes in memory, the factors read
+    from the entry's file one date's row at a time as they are valued.
+    A key keeps one replay: publishing one deletes the key's other
+    ``replay-*`` entries, finished or partial.  Returns ``(replay,
+    timings)``, with ``replay_load_seconds`` on a hit and
+    ``replay_build_seconds`` otherwise.
     """
     entry = cache_dir / f"replay-{cfg.policy_seed}-{cfg.policy_paths}"
     t0 = time.perf_counter()
-    if entry.is_dir():
-        try:
-            replay = load_policy_replay(entry, tree, cfg.policy_paths)
-            return replay, {"replay_load_seconds": time.perf_counter() - t0}
-        except DAMAGED_ENTRY as exc:
-            log.warning("replay %s rejected: %s; rebuilding", entry, exc)
-            shutil.rmtree(entry)
-    with _publish(entry) as partial:
+    replay = _load(entry, lambda e: load_policy_replay(e, tree,
+                                                       cfg.policy_paths))
+    if replay is not None:
+        return replay, {"replay_load_seconds": time.perf_counter() - t0}
+    with _publish(entry, lambda p: p.name.startswith("replay-")) as partial:
         save_policy_replay(tree, cfg.policy_paths, cfg.policy_seed, partial)
-    for other in cache_dir.glob("replay-*"):
-        if other != entry:
-            shutil.rmtree(other)
     replay = load_policy_replay(entry, tree, cfg.policy_paths)
     return replay, {"replay_build_seconds": time.perf_counter() - t0}
 
@@ -480,13 +496,14 @@ def run_simulate(cfg: RunConfig, n_paths: int) -> Path:
 
 
 def _dispatch(ctx: click.Context, fn) -> None:
-    """Run a command body with the documented exit-code mapping."""
+    """Run a command body with the documented exit-code mapping, and print
+    the dict it returns as one line of key-sorted JSON."""
     try:
         cfg = load_config(
             ctx.obj["config"], ctx.obj["seed"], ctx.obj["out"]
         )
         with output_lock(cfg.out_dir):
-            fn(cfg)
+            click.echo(json.dumps(fn(cfg), sort_keys=True))
     except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(EXIT_CONFIG)
@@ -537,8 +554,7 @@ def price(ctx, qmin, qmax, no_policy):
     """Price one constraint pair; JSON report on stdout."""
 
     def body(cfg):
-        report = run_price(cfg, qmin, qmax, with_policy=not no_policy)
-        click.echo(json.dumps(report, sort_keys=True))
+        return run_price(cfg, qmin, qmax, with_policy=not no_policy)
 
     _dispatch(ctx, body)
 
@@ -550,8 +566,7 @@ def surface(ctx):
 
     def body(cfg):
         csv_path, meta_path = run_surface(cfg)
-        click.echo(json.dumps({"surface": str(csv_path),
-                               "metadata": str(meta_path)}, sort_keys=True))
+        return {"surface": str(csv_path), "metadata": str(meta_path)}
 
     _dispatch(ctx, body)
 
@@ -570,8 +585,7 @@ def converge(ctx, n_bars):
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         csv_path, rows = run_converge(cfg, list(n_bars))
-        click.echo(json.dumps({"converge": str(csv_path),
-                               "rows": len(rows)}, sort_keys=True))
+        return {"converge": str(csv_path), "rows": len(rows)}
 
     _dispatch(ctx, body)
 
@@ -585,12 +599,12 @@ def tree_command(ctx):
         _, manifest, timings = ensure_tree(cfg)
         cache_dir = cfg.out_dir / "cache" / manifest["cache_key"]
         files = sorted(p.name for p in cache_dir.iterdir() if p.is_file())
-        click.echo(json.dumps({
+        return {
             "cache_dir": str(cache_dir),
             "cache_hit": "load_seconds" in timings,
             "files": files,
             "timings": timings,
-        }, sort_keys=True))
+        }
 
     _dispatch(ctx, body)
 
@@ -605,8 +619,7 @@ def simulate(ctx, n_paths):
     def body(cfg):
         if n_paths < 1:
             raise ConfigError("--paths must be >= 1")
-        out = run_simulate(cfg, n_paths)
-        click.echo(json.dumps({"spots": str(out)}, sort_keys=True))
+        return {"spots": str(run_simulate(cfg, n_paths))}
 
     _dispatch(ctx, body)
 

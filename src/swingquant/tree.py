@@ -372,10 +372,8 @@ def build_tree(
         transitions.extend(c.result() for c in counts)
     finally:
         helper.shutdown(cancel_futures=True)
-    grids = stacked_codebooks(np.concatenate([g.points for g in grids]),
-                              [g.n_points for g in grids],
-                              np.concatenate(_chained(transitions)))
-    return QuantTree(params, grids, transitions, _payoffs(params, grids))
+    return _assemble(params, np.concatenate([g.points for g in grids]),
+                     [g.n_points for g in grids], transitions)
 
 
 class _PathStage:
@@ -412,6 +410,16 @@ class _PathStage:
         self._idx_prev, self._idx = self._idx, self._idx_prev
         self._n_prev = grid.n_points
         return t
+
+
+def _assemble(params: TwoFactorParams, points: np.ndarray, sizes: list[int],
+              transitions: list[np.ndarray]) -> QuantTree:
+    """The tree of the stacked grid ``points`` split at ``sizes``, weighted
+    by the date-0 law pushed through ``transitions`` and priced for
+    ``params``: how :func:`build_tree` and :func:`load_tree` both finish."""
+    grids = stacked_codebooks(points, sizes,
+                              np.concatenate(_chained(transitions)))
+    return QuantTree(params, grids, transitions, _payoffs(params, grids))
 
 
 def _chained(transitions: list[np.ndarray]) -> list[np.ndarray]:
@@ -682,13 +690,6 @@ def premium_surface(tree: QuantTree) -> PremiumSurface:
     return PremiumSurface(n=n, values=dict(zip(integer_vertices(n), premia)))
 
 
-# The bytes of factor rows a file-backed replay reads at a time.  The
-# buffer is fresh memory on a process's first warm quote: at 1 MiB its
-# page faults cost about 1 ms of an 8 ms quote on a 30-date book (two
-# shared vCPUs), and 256 KiB blocks read a 365-date replay as fast.
-_BLOCK_BYTES = 1 << 18
-
-
 def _factors_header(shape: tuple[int, int]) -> bytes:
     """The ``.npy`` header ``np.save`` writes for float64 ``shape`` in C order."""
     buf = io.BytesIO()
@@ -730,8 +731,8 @@ class PolicyReplay:
     from the tree's dynamics and grids and the replay's seed and path
     count alone, so one replay serves every bound pair and every curve.
     :func:`save_policy_replay` writes a replay and
-    :func:`load_policy_replay` reads it back; the factors are read a block
-    of dates at a time (:meth:`dates`), so they are never all in memory.
+    :func:`load_policy_replay` reads it back; the factors are read one
+    date's row at a time (:meth:`dates`), so they are never all in memory.
     """
 
     nodes: np.ndarray
@@ -755,20 +756,17 @@ class PolicyReplay:
     def dates(self):
         """Yield each date's ``(nodes, factors)`` rows, in date order.
 
-        The factors are read into one reused buffer of ``_BLOCK_BYTES``
-        (or one date's row, if that is more), a block of dates at a time,
-        so a row holds its values only until the next one is drawn.  A
-        file that ends early raises ``EOFError``.
+        The factors are read into one reused buffer of one date's row, so
+        a row holds its values only until the next one is drawn.  A file
+        that ends early raises ``EOFError``.
         """
         n, n_paths = self.nodes.shape
         with _factors_file(self.factors, self.nodes.shape) as f:
-            per_block = min(n, max(1, _BLOCK_BYTES // (8 * n_paths)))
-            buffer = np.empty((per_block, n_paths))
-            for k0 in range(0, n, per_block):
-                block = buffer[:n - k0]
-                if f.readinto(block) != block.nbytes:
+            row = np.empty(n_paths)
+            for nodes in self.nodes:
+                if f.readinto(row) != row.nbytes:
                     raise EOFError(f"{self.factors} ends before date {n}")
-                yield from zip(self.nodes[k0:k0 + len(block)], block)
+                yield nodes, row
 
 
 def _replay_dates(tree: QuantTree, n_paths: int, seed: int):
@@ -955,6 +953,4 @@ def load_tree(directory, params: TwoFactorParams) -> tuple[QuantTree, dict]:
                              f"want float64 {shape}")
     transitions = [t.reshape(a, b) for t, a, b in zip(
         _blocks(flat, cells), sizes, sizes[1:])]
-    grids = stacked_codebooks(points, sizes,
-                              np.concatenate(_chained(transitions)))
-    return QuantTree(params, grids, transitions, _payoffs(params, grids)), manifest
+    return _assemble(params, points, sizes, transitions), manifest

@@ -952,6 +952,26 @@ class TestPolicyReplay:
         assert "load_seconds" in again["timings"]  # the tree stayed
         assert "replay_load_seconds" in again["timings"]
 
+    @pytest.mark.parametrize("where", ["tree", "replay", "partial"])
+    def test_a_regular_file_in_place_of_an_entry_is_rebuilt(self, tmp_path,
+                                                            where):
+        path = self.config(tmp_path)
+        want = self.price(path)
+        cfg = load_config(path)
+        key_dir = cfg.out_dir / "cache" / tree_cache_key(cfg)
+        stray = {"tree": key_dir, "replay": key_dir / "replay-8-3000",
+                 "partial": key_dir.with_name(key_dir.name + ".partial")}[where]
+        shutil.rmtree(key_dir / "replay-8-3000" if where == "replay"
+                      else key_dir)
+        stray.write_text("not a cache entry\n")
+        again = self.price(path)
+        assert ("load_seconds" in again["timings"]) == (where == "replay")
+        assert "replay_build_seconds" in again["timings"]
+        for field in ("price", "mc_policy_value", "std_err"):
+            assert again[field] == want[field], field
+        assert (key_dir / "replay-8-3000").is_dir()
+        assert [p.name for p in key_dir.parent.iterdir()] == [key_dir.name]
+
 
 class TestAuxCommands:
     def test_grids_and_transitions(self, tmp_path):
@@ -974,6 +994,19 @@ class TestAuxCommands:
                                     "transitions.npy"]
         assert not cold["cache_hit"] and "build_tree_seconds" in cold["timings"]
         assert warm["cache_hit"] and set(warm["timings"]) == {"load_seconds"}
+
+    @pytest.mark.parametrize("args", [
+        ["price"], ["surface"], ["converge", "--nbar", "2", "--nbar", "3"],
+        ["tree"], ["simulate", "--paths", "3"],
+    ])
+    def test_stdout_is_one_line_of_sorted_json(self, tmp_path, args):
+        cfg = write_config(tmp_path, sigma1=0.36, sigma2=1.11, n=4, n_bar=3,
+                           n_samples=1000)
+        res = run_cli(["--config", str(cfg)] + args)
+        assert res.exit_code == 0, res.output
+        line = res.stdout.removesuffix("\n")
+        assert "\n" not in line and res.stdout == line + "\n"
+        assert line == json.dumps(json.loads(line), sort_keys=True)
 
     def test_simulate(self, tmp_path):
         cfg = write_config(tmp_path, sigma1=0.36, sigma2=1.11, n=4)

@@ -720,10 +720,9 @@ class TestPolicy:
 
     @pytest.mark.parametrize("extra", [-1, 0, 1])
     def test_file_replay_values_as_the_in_memory_one(self, tmp_path, extra):
-        # dates below, equal to and one above a block of four dates
-        per_block = 4
-        n_paths = tree_module._BLOCK_BYTES // (8 * per_block)
-        n = per_block + extra
+        # three, four and five dates, the factors read a row at a time
+        n_paths = 8_192
+        n = 4 + extra
         tree = build_tree(make_params(n=n), n_bar=5, n_samples=5_000, seed=8)
         q = gc(1, n - 1)
         _, policy = quantized_dp_price(tree, q)
@@ -757,15 +756,13 @@ class TestPolicy:
             tracemalloc.stop()
         assert peak < 8 * tree.n * n_paths / 3
 
-    def test_factor_file_cut_short_raises(self, small_tree, tmp_path,
-                                          monkeypatch):
-        monkeypatch.setattr(tree_module, "_BLOCK_BYTES", 8 * 3_000 * 4)
+    def test_factor_file_cut_short_raises(self, small_tree, tmp_path):
         save_policy_replay(small_tree, 3_000, 21, tmp_path)
         replay = load_policy_replay(tmp_path, small_tree, 3_000)
         dates = replay.dates()
-        next(dates)  # the first block of four dates is read
+        next(dates)  # the first date's row is read
         os.truncate(replay.factors, replay.factors.stat().st_size - 8)
-        with pytest.raises(EOFError):  # never a block of zeros
+        with pytest.raises(EOFError):  # never a row of stale values
             for _ in dates:
                 pass
         with pytest.raises(ValueError, match="bytes"):
