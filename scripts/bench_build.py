@@ -21,7 +21,12 @@ under ``perfbench/spans.py``'s :class:`Tracer`.  The file holds:
 * ``reference_op``, a fixed ``nearest_indices`` call timed after the
   build on the same host, so that host drift shows up beside it;
 * ``tree_hash``, the first 16 hex digits of the SHA-256 of every grid's
-  points and weights, date by date, then of every transition matrix.
+  points and weights, date by date, then of every transition matrix;
+* ``replay_s``, the wall time of the policy replay written after the
+  build (``save_policy_replay`` into a temporary directory, untraced,
+  with the configuration defaults: 10,000 paths and seed ``seed + 1``),
+  and ``replay_hash``, the first 16 hex digits of the SHA-256 of its
+  ``factors.npy`` then its ``nodes.npy``.
 
 The grids and transitions depend only on the dynamics, so the forward
 and strike curves are flat at 20.
@@ -34,6 +39,7 @@ import platform
 import resource
 import statistics
 import sys
+import tempfile
 from pathlib import Path
 from time import perf_counter
 
@@ -51,6 +57,21 @@ def tree_hash(tree) -> str:
     for t in tree.transitions:
         h.update(t.tobytes())
     return h.hexdigest()[:16]
+
+
+REPLAY_PATHS = 10_000  # the configuration's default policy_paths
+
+
+def timed_replay(tree_module, tree, seed: int) -> tuple[float, str]:
+    """Wall time and hash of the policy replay of ``tree`` for ``seed``."""
+    with tempfile.TemporaryDirectory() as directory:
+        start = perf_counter()
+        tree_module.save_policy_replay(tree, REPLAY_PATHS, seed, directory)
+        wall = perf_counter() - start
+        h = hashlib.sha256()
+        for name in ("factors.npy", "nodes.npy"):
+            h.update((Path(directory) / name).read_bytes())
+    return wall, h.hexdigest()[:16]
 
 
 def reference_op(np, quantizer) -> dict:
@@ -138,6 +159,8 @@ def main() -> int:
     wall = perf_counter() - start
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     tracer.uninstall()
+    # the policy seed defaults to the pipeline seed + 1
+    replay_s, replay_hash = timed_replay(tree_module, tree, args.seed + 1)
     ref = reference_op(np, quantizer)  # after the build, outside its peak
 
     doc = {
@@ -155,6 +178,8 @@ def main() -> int:
         "rss_before_build_mb": round(rss_before, 1),
         "reference_op": ref,
         "tree_hash": tree_hash(tree),
+        "replay_s": round(replay_s, 4),
+        "replay_hash": replay_hash,
     }
     args.out.mkdir(parents=True, exist_ok=True)
     path = args.out / f"BENCH_{args.label}.json"
@@ -163,7 +188,7 @@ def main() -> int:
     text = json.dumps(doc, indent=1).replace('"DATES"', f"[\n  {rows}\n ]")
     path.write_text(text + "\n")
     print(f"{path}: build {wall:.3f} s, peak RSS {peak:.1f} MB, "
-          f"tree {doc['tree_hash']}")
+          f"tree {doc['tree_hash']}, replay {replay_s:.3f} s {replay_hash}")
     return 0
 
 

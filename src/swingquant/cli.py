@@ -4,8 +4,9 @@ Orchestrates the pipeline (simulate, fit grids, estimate transitions,
 price) from a JSON configuration, with content-addressed caching of the
 built tree artifacts so repeated pricing and surface runs skip the
 expensive estimation stages.  All outputs are deterministic given the
-configuration and seeds, except the wall-clock ``timings`` field of the
-price report.
+configuration and seeds, except three wall-clock measurements: the
+``timings`` field of the ``price`` report and of the ``tree`` command's
+output, and the ``wall_seconds`` column of ``converge.csv``.
 """
 from __future__ import annotations
 

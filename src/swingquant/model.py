@@ -181,7 +181,8 @@ def factor_states(
         for _ in range(params.n):
             # decay first, so a state the caller has dropped is freed
             # before the innovations are drawn
-            state = state * decay
+            state = _by_columns(np.multiply, state, decay,
+                                np.empty(state.shape))
             if antithetic:
                 # in place, and ``x - e`` is ``x + (-e)`` to the bit
                 e = rng.standard_normal((half, 2)) @ chol.T
@@ -215,7 +216,7 @@ def standardized_state(params: TwoFactorParams, k: int,
         return state.copy()
     target = factor_marginal_covariance(params, k * params.dt)
     centred = np.empty(state.shape)
-    np.subtract(state, _axis0_mean(state, centred), out=centred)
+    _by_columns(np.subtract, state, _axis0_mean(state, centred), centred)
     sample_cov = centred.T @ centred / len(state)
     ls = _chol2(sample_cov)
     lt = _chol2(target)
@@ -241,6 +242,20 @@ def _axis0_mean(a: np.ndarray, out: np.ndarray) -> np.ndarray:
     """
     np.cumsum(a, axis=0, out=out)
     return (out[-1] + 0.0) / len(a)
+
+
+def _by_columns(op, a: np.ndarray, v: np.ndarray,
+                out: np.ndarray) -> np.ndarray:
+    """``op(a, v, out=out)`` for an ``(M, d)`` array ``a`` and a ``d``-vector
+    ``v``, bit for bit, one column at a time; returns ``out``.
+
+    Broadcast against ``v``, the ufunc loops over the ``d``-long rows
+    innermost; over a column it takes one long strided loop instead,
+    two to four times faster at ``d = 2``.  ``out`` may be ``a`` itself.
+    """
+    for j in range(a.shape[1]):
+        op(a[:, j], v[j], out=out[:, j])
+    return out
 
 
 def _axis0_std(a: np.ndarray) -> np.ndarray:

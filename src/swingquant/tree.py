@@ -22,7 +22,7 @@ import math
 import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,6 +32,7 @@ from .contracts import GlobalConstraints, PremiumSurface, integer_vertices
 from .model import (
     TwoFactorParams,
     _axis0_std,
+    _by_columns,
     dynamics_to_dict,
     factor_states,
     spot_factor,
@@ -398,8 +399,7 @@ class _PathStage:
         """The next date's standardised, volatility-scaled states."""
         self._k += 1
         z = standardized_state(self._params, self._k, next(self._states))
-        z *= self._params.vols
-        return z
+        return _by_columns(np.multiply, z, self._params.vols, z)
 
     def count(self, k: int, z: np.ndarray, grid: Codebook) -> np.ndarray:
         """Transition ``k - 1 -> k``, from date ``k``'s states ``z`` on
@@ -772,11 +772,38 @@ class PolicyReplay:
 def _replay_dates(tree: QuantTree, n_paths: int, seed: int):
     """Simulate the replay's paths date by date (plain i.i.d. sampling),
     yielding each date's ``(nodes, factors)`` rows as
-    :meth:`PolicyReplay.dates` does; no path array is held."""
+    :meth:`PolicyReplay.dates` does; no path array is held.
+
+    A two-stage pipeline, as in :func:`build_tree`: one helper thread
+    draws each date's states, scales them and computes their spot
+    factors, up to two dates ahead, while the calling thread projects
+    the previous date's states onto their grid.  The paths' generator
+    stays on the helper, so the rows do not depend on the threads'
+    timing, and the helper calls none of the other modules' public
+    functions but the untraced :func:`~swingquant.model.factor_states`
+    and :func:`~swingquant.model.spot_factor` (see :class:`_PathStage`).
+    The helper is joined when the generator ends or is closed; a caller
+    that may stop early closes it (``contextlib.closing``), so that an
+    error in its own loop leaves no thread behind.
+    """
     params = tree.params
-    for k, state in zip(range(tree.n), factor_states(params, n_paths, seed)):
-        z = state * params.vols
-        yield nearest_indices(z, tree.grids[k]), spot_factor(params, k, z)
+    states = factor_states(params, n_paths, seed)
+
+    def draw(k: int) -> tuple[np.ndarray, np.ndarray]:
+        z = _by_columns(np.multiply, next(states), params.vols,
+                        np.empty((n_paths, 2)))
+        return z, spot_factor(params, k, z)
+
+    helper = ThreadPoolExecutor(max_workers=1)
+    try:
+        draws = deque(helper.submit(draw, k) for k in range(min(2, tree.n)))
+        for k in range(tree.n):
+            z, factors = draws.popleft().result()
+            if k + 2 < tree.n:
+                draws.append(helper.submit(draw, k + 2))
+            yield nearest_indices(z, tree.grids[k]), factors
+    finally:
+        helper.shutdown(cancel_futures=True)
 
 
 def save_policy_replay(tree: QuantTree, n_paths: int, seed: int,
@@ -791,8 +818,8 @@ def save_policy_replay(tree: QuantTree, n_paths: int, seed: int,
     directory = Path(directory)
     widest = max(g.n_points for g in tree.grids)
     nodes = np.empty((tree.n, n_paths), dtype=np.min_scalar_type(widest - 1))
-    dates = _replay_dates(tree, n_paths, seed)
-    with open(directory / "factors.npy", "wb") as f:
+    with (closing(_replay_dates(tree, n_paths, seed)) as dates,
+          open(directory / "factors.npy", "wb") as f):
         f.write(_factors_header((tree.n, n_paths)))
         for k, (node, factors) in enumerate(dates):
             nodes[k] = node
@@ -859,23 +886,25 @@ def extract_and_value_policy(
     value = np.zeros(n_paths)
     flat = np.empty(n_paths, dtype=np.intp)
     pay = np.empty(n_paths)
-    for k, (nodes, factors) in enumerate(dates):
-        # The purchase at (bought - l_min, node), gathered flat from the
-        # rows laid end to end.  Counts below the floor l_min never occur;
-        # their rows pad the table so that a path's row is its count.
-        rows, width = policy.buy[k].shape
-        table = np.zeros((policy.l_min[k] + rows) * width, dtype=np.intp)
-        table[policy.l_min[k] * width:] = policy.buy[k].reshape(-1)
-        np.multiply(bought, width, out=flat)
-        flat += nodes
-        acts = np.take(table, flat)
-        # the payoff of spot_and_payoff_of_factor, in one buffer
-        np.multiply(params.forward[k], factors, out=pay)
-        pay -= params.strikes[k]
-        pay *= math.exp(-params.r * (k * params.dt))
-        pay *= acts
-        value += pay
-        bought += acts
+    with closing(dates):
+        for k, (nodes, factors) in enumerate(dates):
+            # The purchase at (bought - l_min, node), gathered flat from
+            # the rows laid end to end.  Counts below the floor l_min
+            # never occur; their rows pad the table so that a path's row
+            # is its count.
+            rows, width = policy.buy[k].shape
+            table = np.zeros((policy.l_min[k] + rows) * width, dtype=np.intp)
+            table[policy.l_min[k] * width:] = policy.buy[k].reshape(-1)
+            np.multiply(bought, width, out=flat)
+            flat += nodes
+            acts = np.take(table, flat)
+            # the payoff of spot_and_payoff_of_factor, in one buffer
+            np.multiply(params.forward[k], factors, out=pay)
+            pay -= params.strikes[k]
+            pay *= math.exp(-params.r * (k * params.dt))
+            pay *= acts
+            value += pay
+            bought += acts
     if not ((bought >= q0.q_lo) & (bought <= q0.q_hi)).all():
         raise AssertionError("simulated schedule violated the global bounds")
     mc_value = float(value.mean())

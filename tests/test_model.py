@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.special import ndtr
 from scipy.stats import ks_2samp
 
@@ -27,6 +30,14 @@ from swingquant import model
 # frozen with 30-digit arithmetic from the closed form
 LAMBDA_ONE_YEAR_REFERENCE_SET = 0.20429334170788006
 LAMBDA_ONE_YEAR_SINGLE_FACTOR = 0.10582555274278248
+
+# signed zeros, infinities, NaNs of either sign and subnormals, among
+# any other floats
+EDGE_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan,
+                     5e-324, -5e-324, 2.2e-308, -1e-310]),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+)
 
 
 def make_params(n=30, T=30 / 365, forward=20.0, strike=20.0, r=0.0,
@@ -162,6 +173,27 @@ class TestSimulation:
         zeros = np.array([[-0.0, 0.0]] * 5)
         mean = model._axis0_mean(zeros, np.empty(zeros.shape))
         assert not np.signbit(mean).any()
+
+    @given(a=arrays(np.float64, st.tuples(st.integers(1, 300), st.just(2)),
+                    elements=EDGE_FLOATS),
+           v=arrays(np.float64, 2, elements=EDGE_FLOATS))
+    @settings(max_examples=300, deadline=None)
+    @np.errstate(all="ignore")  # inf * 0 and overflows are the point
+    def test_by_columns_is_the_broadcast(self, a, v):
+        # the decay, the vols and the centring, bit for bit, into a new
+        # array and in place.  Where both operands are NaN, numpy's own
+        # broadcast returns either one's NaN by the row's position (an
+        # odd row count's last product takes v's), so there only a NaN
+        # is asked for; the decay and the vols are finite.
+        both = np.isnan(a) & np.isnan(v)
+        for op in (np.multiply, np.subtract):
+            want = op(a, v)
+            inplace = a.copy()
+            for got in (model._by_columns(op, a, v, np.empty(a.shape)),
+                        model._by_columns(op, inplace, v, inplace)):
+                assert np.array_equal(got.view(np.uint64)[~both],
+                                      want.view(np.uint64)[~both])
+                assert np.isnan(got[both]).all()
 
     def test_refinement_consistency(self):
         # Marginal law at a common date is the same under n and 2n steps.

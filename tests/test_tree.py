@@ -813,6 +813,98 @@ class TestPolicy:
         assert errs[2] < errs[0]
 
 
+def replay_bytes(tree, directory):
+    """The files of a 3,000-path replay written into ``directory``."""
+    directory.mkdir()
+    save_policy_replay(tree, 3_000, 21, directory)
+    return [(directory / name).read_bytes()
+            for name in ("factors.npy", "nodes.npy")]
+
+
+class _FailingFile:
+    """A file whose fifth write, date 3's factor row after the header,
+    raises ``OSError``."""
+
+    def __init__(self, f):
+        self._f = f
+        self._writes = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._f.close()
+
+    def write(self, data):
+        self._writes += 1
+        if self._writes == 5:
+            raise OSError("write at date 3")
+        return self._f.write(data)
+
+
+class TestReplayPipeline:
+    @pytest.mark.parametrize("name,error,consumer", [
+        ("spot_factor", ValueError, "save"),
+        ("spot_factor", ValueError, "value"),
+        ("spot_factor", KeyboardInterrupt, "value"),
+        ("nearest_indices", MemoryError, "save"),
+        ("nearest_indices", MemoryError, "value"),
+        ("open", OSError, "save"),
+    ], ids=["draw-save", "draw-value", "draw-interrupt", "project-save",
+            "project-value", "write"])
+    def test_error_at_date_3_is_raised_and_the_helper_joined(
+            self, small_tree, tmp_path, monkeypatch, name, error, consumer):
+        # the helper draws (spot_factor), the caller projects
+        # (nearest_indices), and save_policy_replay's own loop writes
+        if name == "open":
+            monkeypatch.setattr(tree_module, "open",
+                                lambda *a: _FailingFile(open(*a)),
+                                raising=False)
+        else:
+            original = getattr(tree_module, name)
+            calls = []
+
+            def failing(*args, **kwargs):
+                calls.append(None)
+                if len(calls) == 4:  # dates 0, 1, 2, then 3
+                    raise error(f"{name} at date 3")
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(tree_module, name, failing)
+        q = gc(3, 7)
+        _, policy = quantized_dp_price(small_tree, q)
+        threads = threading.active_count()
+        with pytest.raises(error, match="at date 3") as held:
+            if consumer == "save":
+                save_policy_replay(small_tree, 3_000, 21, tmp_path)
+            else:
+                extract_and_value_policy(small_tree, policy, q, 3_000, 21)
+        # ``held`` keeps the traceback, so the consumer's frame and its
+        # date iterator, alive: the helper must be joined all the same
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("slow", ["spot_factor", "nearest_indices"])
+    def test_replay_ignores_the_threads_timing(self, small_tree, tmp_path,
+                                               monkeypatch, slow):
+        # either stage lagging, and the threads switched every few
+        # microseconds: the same files, byte for byte
+        want = replay_bytes(small_tree, tmp_path / "want")
+        original = getattr(tree_module, slow)
+
+        def lagging(*args, **kwargs):
+            time.sleep(0.01)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(tree_module, slow, lagging)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            got = replay_bytes(small_tree, tmp_path / "got")
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want
+
+
 class TestPersistence:
     def test_round_trip(self, small_tree, tmp_path):
         save_tree(small_tree, tmp_path / "tree", {"seed": 2024})
