@@ -20,7 +20,6 @@ import json
 import logging
 import math
 import os
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing, contextmanager
 from dataclasses import dataclass
@@ -331,12 +330,12 @@ def build_tree(
     :func:`load_tree` derives the same weights from the saved transitions.
 
     The build runs on two threads.  The calling thread fits the grids in
-    date order; one helper thread, started and joined within the call,
-    meanwhile counts the previous date against its grid and then draws
-    the next date (:class:`_PathStage`).  Each random generator is used
-    on one thread only, so the tree does not depend on their timing.  An
-    error on either thread is raised here, and an interrupt cancels the
-    helper's queued work.
+    date order while :func:`_ahead`'s helper thread runs
+    :func:`_draws_and_counts`, which, while date ``k`` is fitted, counts
+    date ``k - 1`` against its grid and then draws date ``k + 1``.  Each
+    random generator is used on one thread only, so the tree does not
+    depend on their timing.  An error on either thread is raised here,
+    and an interrupt cancels the helper's queued work.
 
     Each date's grid spots are rescaled by a constant so the weighted spot
     mean reprices the forward exactly.  Collapsing the spot exponential
@@ -349,67 +348,77 @@ def build_tree(
     _check_fit(n_bar, n_samples, optimizer)
     rng = _grid_rng(seed)
     grids = [_root_grid()]
+    transitions: list[np.ndarray] = []
     scale = None
-    paths = _PathStage(params, n_samples, seed)
-    helper = ThreadPoolExecutor(max_workers=1)
-    try:
-        # the helper runs its calls in submission order: while date k is
-        # fitted it counts date k - 1, then draws date k + 1
-        draws = deque(helper.submit(paths.draw)
-                      for _ in range(min(2, params.n - 1)))
-        counts: deque = deque()
-        transitions: list[np.ndarray] = []
-        for k in range(1, params.n):
-            z = draws.popleft().result()
-            # the counts queued before this draw are done: a failed one
-            # stops the build here
-            while counts and counts[0].done():
-                transitions.append(counts.popleft().result())
+    for z in _ahead(_draws_and_counts(params, n_samples, seed, grids,
+                                      transitions)):
+        if z is not None:  # date n is never drawn
             grid, scale = _fit_grid(z, grids[-1], scale, n_bar, rng, optimizer)
             grids.append(grid)
-            counts.append(helper.submit(paths.count, k, z, grid))
-            if k + 2 < params.n:
-                draws.append(helper.submit(paths.draw))
-        transitions.extend(c.result() for c in counts)
-    finally:
-        helper.shutdown(cancel_futures=True)
     return _assemble(params, np.concatenate([g.points for g in grids]),
                      [g.n_points for g in grids], transitions)
 
 
-class _PathStage:
-    """The paths of :func:`build_tree`, drawn and counted date by date.
+def _ahead(items):
+    """Yield the items of the iterator ``items`` in order, each one made
+    by ``next(items)`` on one helper thread while the consumer works on
+    the item before it.
 
-    Its methods run on the build's helper thread, one call at a time, so
-    the paths' generator and the two index buffers need no lock.  They
-    call none of the other modules' public functions, which a tracer such
-    as ``perfbench/spans.py``'s wraps with one span stack for all threads.
+    The step that makes item ``j + 1`` starts only once the consumer has
+    asked for item ``j``, so the steps never overlap and ``items`` needs
+    no lock; what the consumer did before asking for item ``j`` is
+    visible to that step.  A step's error is raised here with its own
+    type.  The helper is started on the first request and joined, its
+    queued step cancelled, when this generator ends or is closed; a
+    consumer that may stop early closes it (``contextlib.closing``), so
+    that an error in its own loop leaves no thread behind.
+
+    The steps call none of the other modules' public functions that a
+    tracer such as ``perfbench/spans.py``'s wraps: it keeps one span
+    stack for all threads.
     """
+    helper = ThreadPoolExecutor(max_workers=1)
+    try:
+        # the executor marks the end: no item is ever it
+        step = helper.submit(next, items, helper)
+        while (item := step.result()) is not helper:
+            step = helper.submit(next, items, helper)
+            yield item
+    finally:
+        helper.shutdown(cancel_futures=True)
 
-    def __init__(self, params: TwoFactorParams, n_samples: int, seed: int):
-        self._params = params
-        self._states = factor_states(params, n_samples, seed, antithetic=True)
-        next(self._states)  # date 0, the deterministic start
-        self._k = 0
-        self._idx_prev = np.zeros(n_samples, dtype=np.intp)  # all at the root
-        self._idx = np.empty(n_samples, dtype=np.intp)
-        self._n_prev = 1
 
-    def draw(self) -> np.ndarray:
-        """The next date's standardised, volatility-scaled states."""
-        self._k += 1
-        z = standardized_state(self._params, self._k, next(self._states))
-        return _by_columns(np.multiply, z, self._params.vols, z)
+def _draws_and_counts(params: TwoFactorParams, n_samples: int, seed: int,
+                      grids: list[Codebook], transitions: list[np.ndarray]):
+    """The paths of :func:`build_tree`, drawn and counted date by date
+    through :func:`_ahead`.
 
-    def count(self, k: int, z: np.ndarray, grid: Codebook) -> np.ndarray:
-        """Transition ``k - 1 -> k``, from date ``k``'s states ``z`` on
-        their grid and the nodes the previous call found."""
-        _scan(z, grid.points, self._idx)
-        t = _count_transitions(k - 1, self._idx_prev, self._idx,
-                               self._n_prev, grid.n_points)
-        self._idx_prev, self._idx = self._idx, self._idx_prev
-        self._n_prev = grid.n_points
-        return t
+    Yields date ``k``'s standardised, volatility-scaled states for ``k =
+    1 .. n - 1``, then ``None`` for date ``n``, which is never drawn.
+    The step that yields date ``k``'s states first counts date ``k - 2``
+    against ``grids[k - 2]``, appending transition ``k - 3 -> k - 2`` to
+    ``transitions``; the consumer appended that grid before it asked for
+    date ``k - 1``, and reads ``transitions`` only once :func:`_ahead`
+    has ended.  The step after ``None`` counts date ``n - 1``.
+    """
+    states = factor_states(params, n_samples, seed, antithetic=True)
+    next(states)  # date 0, the deterministic start
+    idx_prev = np.zeros(n_samples, dtype=np.intp)  # all at the root
+    idx = np.empty(n_samples, dtype=np.intp)
+    z = None
+    for k in range(1, params.n + 1):
+        # date k - 2's states go before date k's are drawn
+        prev, z = z, None
+        if k < params.n:
+            z = standardized_state(params, k, next(states))
+            _by_columns(np.multiply, z, params.vols, z)
+        yield z
+        if prev is not None:
+            _scan(prev, grids[k - 1].points, idx)
+            transitions.append(_count_transitions(
+                k - 2, idx_prev, idx, grids[k - 2].n_points,
+                grids[k - 1].n_points))
+            idx_prev, idx = idx, idx_prev
 
 
 def _assemble(params: TwoFactorParams, points: np.ndarray, sizes: list[int],
@@ -760,12 +769,12 @@ class PolicyReplay:
         a row holds its values only until the next one is drawn.  A file
         that ends early raises ``EOFError``.
         """
-        n, n_paths = self.nodes.shape
         with _factors_file(self.factors, self.nodes.shape) as f:
-            row = np.empty(n_paths)
-            for nodes in self.nodes:
+            row = np.empty(self.nodes.shape[1])
+            for k, nodes in enumerate(self.nodes):
                 if f.readinto(row) != row.nbytes:
-                    raise EOFError(f"{self.factors} ends before date {n}")
+                    raise EOFError(f"{self.factors} ends within or before "
+                                   f"date {k}'s row")
                 yield nodes, row
 
 
@@ -774,36 +783,24 @@ def _replay_dates(tree: QuantTree, n_paths: int, seed: int):
     yielding each date's ``(nodes, factors)`` rows as
     :meth:`PolicyReplay.dates` does; no path array is held.
 
-    A two-stage pipeline, as in :func:`build_tree`: one helper thread
-    draws each date's states, scales them and computes their spot
-    factors, up to two dates ahead, while the calling thread projects
+    :func:`_ahead`'s helper thread draws each date's states, scales them
+    and computes their spot factors while the calling thread projects
     the previous date's states onto their grid.  The paths' generator
     stays on the helper, so the rows do not depend on the threads'
-    timing, and the helper calls none of the other modules' public
-    functions but the untraced :func:`~swingquant.model.factor_states`
-    and :func:`~swingquant.model.spot_factor` (see :class:`_PathStage`).
-    The helper is joined when the generator ends or is closed; a caller
-    that may stop early closes it (``contextlib.closing``), so that an
-    error in its own loop leaves no thread behind.
+    timing.  A caller that may stop early closes this generator
+    (``contextlib.closing``), which closes :func:`_ahead` in turn.
     """
     params = tree.params
     states = factor_states(params, n_paths, seed)
 
-    def draw(k: int) -> tuple[np.ndarray, np.ndarray]:
-        z = _by_columns(np.multiply, next(states), params.vols,
-                        np.empty((n_paths, 2)))
-        return z, spot_factor(params, k, z)
-
-    helper = ThreadPoolExecutor(max_workers=1)
-    try:
-        draws = deque(helper.submit(draw, k) for k in range(min(2, tree.n)))
+    def draws():
         for k in range(tree.n):
-            z, factors = draws.popleft().result()
-            if k + 2 < tree.n:
-                draws.append(helper.submit(draw, k + 2))
-            yield nearest_indices(z, tree.grids[k]), factors
-    finally:
-        helper.shutdown(cancel_futures=True)
+            z = _by_columns(np.multiply, next(states), params.vols,
+                            np.empty((n_paths, 2)))
+            yield z, spot_factor(params, k, z)
+
+    for k, (z, factors) in enumerate(_ahead(draws())):
+        yield nearest_indices(z, tree.grids[k]), factors
 
 
 def save_policy_replay(tree: QuantTree, n_paths: int, seed: int,

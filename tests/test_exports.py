@@ -1,6 +1,8 @@
 """Every exported name resolves (no export outlives its definition), the
-package exports what the README documents, and importing the package and
-its command loads neither scipy nor the reference pricers."""
+package exports what the README documents, importing the package and its
+command loads neither scipy nor the reference pricers, and one function
+owns every thread the package starts."""
+import ast
 import importlib
 import os
 import pkgutil
@@ -44,3 +46,24 @@ def test_exports_are_the_readme_library_names():
     named |= set(re.findall(r"`swingquant\.(\w+)", section))
     named -= {m.name for m in pkgutil.iter_modules(swingquant.__path__)}
     assert set(swingquant.__all__) - {"__version__"} == named
+
+
+def test_one_function_starts_threads():
+    # the error, interrupt and join rules of a helper thread live in one
+    # place, which every pipeline goes through
+    src = Path(swingquant.__file__).resolve().parent
+    owners = []
+    for path in sorted(src.glob("*.py")):
+        module = ast.parse(path.read_text())
+        funcs = [f for f in ast.walk(module)
+                 if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for node in ast.walk(module):
+            callee = getattr(node, "func", None)
+            name = getattr(callee, "attr", getattr(callee, "id", None))
+            if isinstance(node, ast.Call) and name in ("ThreadPoolExecutor",
+                                                       "Thread"):
+                around = [f for f in funcs
+                          if f.lineno <= node.lineno <= f.end_lineno]
+                inner = max(around, key=lambda f: f.lineno, default=None)
+                owners.append(f"{path.stem}.{getattr(inner, 'name', '')}")
+    assert owners == ["tree._ahead"]

@@ -238,15 +238,17 @@ class TestEstimateTransitions:
 
 
 class TestBuildTree:
-    @pytest.mark.parametrize("optimizer,sigma", [
-        *((opt, (0.36, 1.11)) for opt in OPTIMIZERS),
-        ("clvq-lloyd", (0.0, 0.0)),
-    ], ids=[*OPTIMIZERS, "degenerate-vol"])
+    @pytest.mark.parametrize("optimizer,sigma,n", [
+        *((opt, (0.36, 1.11), 6) for opt in OPTIMIZERS),
+        ("clvq-lloyd", (0.0, 0.0), 6),
+        *(("clvq-lloyd", (0.36, 1.11), n) for n in (1, 2, 3)),
+    ], ids=[*OPTIMIZERS, "degenerate-vol", "n=1", "n=2", "n=3"])
     def test_one_pass_equals_the_array_pipeline(self, monkeypatch, optimizer,
-                                                sigma):
+                                                sigma, n):
         # odd path count: the antithetic mirror is cut short; the fit
-        # subsample is strided
-        params = make_params(n=6, sigma1=sigma[0], sigma2=sigma[1])
+        # subsample is strided.  Up to three dates, the helper's first
+        # steps are also its last.
+        params = make_params(n=n, sigma1=sigma[0], sigma2=sigma[1])
         n_samples, seed = 20_001, 17
         drawn = []
         original = tree_module.factor_states
@@ -718,13 +720,15 @@ class TestPolicy:
             np.save(buf, arr)
             assert (tmp_path / name).read_bytes() == buf.getvalue(), name
 
-    @pytest.mark.parametrize("extra", [-1, 0, 1])
-    def test_file_replay_values_as_the_in_memory_one(self, tmp_path, extra):
-        # three, four and five dates, the factors read a row at a time
+    @pytest.mark.parametrize("n,bounds", [
+        (3, (1, 2)), (4, (1, 3)), (5, (1, 4)), (1, (0, 1)), (2, (0, 2)),
+    ], ids=["-1", "0", "1", "n=1", "n=2"])  # the first three: 4 + id dates
+    def test_file_replay_values_as_the_in_memory_one(self, tmp_path, n,
+                                                     bounds):
+        # one to five dates, the factors read a row at a time
         n_paths = 8_192
-        n = 4 + extra
         tree = build_tree(make_params(n=n), n_bar=5, n_samples=5_000, seed=8)
-        q = gc(1, n - 1)
+        q = gc(*bounds)
         _, policy = quantized_dp_price(tree, q)
         save_policy_replay(tree, n_paths, 9, tmp_path)
         replay = load_policy_replay(tmp_path, tree, n_paths)
@@ -762,7 +766,8 @@ class TestPolicy:
         dates = replay.dates()
         next(dates)  # the first date's row is read
         os.truncate(replay.factors, replay.factors.stat().st_size - 8)
-        with pytest.raises(EOFError):  # never a row of stale values
+        # never a row of stale values; the last of 10 dates is short
+        with pytest.raises(EOFError, match="date 9's row"):
             for _ in dates:
                 pass
         with pytest.raises(ValueError, match="bytes"):
@@ -903,6 +908,61 @@ class TestReplayPipeline:
         finally:
             sys.setswitchinterval(interval)
         assert got == want
+
+
+class TestAhead:
+    def test_items_come_in_order_one_step_after_each_request(self):
+        # a step that ran two items ahead would make item j + 2 during
+        # the pause after item j
+        log = []
+
+        def items():
+            for j in range(5):
+                log.append(("make", j))
+                yield j
+
+        ahead = tree_module._ahead(items())
+        for j in range(5):
+            log.append(("ask", j))
+            assert next(ahead) == j
+            time.sleep(0.01)
+        with pytest.raises(StopIteration):
+            next(ahead)
+        for j in range(4):
+            assert log.index(("make", j + 1)) > log.index(("ask", j))
+
+    @pytest.mark.parametrize("error", [LookupError, KeyboardInterrupt])
+    def test_error_at_item_3_is_raised_and_the_helper_joined(self, error):
+        def items():
+            yield from range(3)
+            raise error("item 3")
+
+        threads = threading.active_count()
+        got = []
+        with pytest.raises(error, match="item 3") as held:
+            for item in tree_module._ahead(items()):
+                got.append(item)
+        assert held.type is error and got == [0, 1, 2]
+        assert threading.active_count() == threads
+
+    def test_closing_part_way_joins_the_helper(self):
+        made = []
+
+        def items():
+            for j in range(100):
+                made.append(j)
+                yield j
+
+        threads = threading.active_count()
+        ahead = tree_module._ahead(items())
+        assert [next(ahead), next(ahead)] == [0, 1]
+        ahead.close()
+        assert threading.active_count() == threads
+        # item 2's step had been queued: it ran or was cancelled
+        assert made in ([0, 1], [0, 1, 2])
+        seen = list(made)
+        time.sleep(0.05)
+        assert made == seen
 
 
 class TestPersistence:
