@@ -25,7 +25,6 @@ __all__ = [
     "SurfaceIncompleteError",
     "GlobalConstraints",
     "RawContract",
-    "Tile",
     "PremiumSurface",
     "normalize_contract",
     "advance_constraints",
@@ -192,42 +191,6 @@ def admissible_interval(q: GlobalConstraints, remaining: int) -> tuple[float, fl
     return (lo, hi)
 
 
-_UPPER = "upper"
-_LOWER = "lower"
-
-
-@dataclass(frozen=True)
-class Tile:
-    """One unit triangle of the tiling of the admissible constraint set.
-
-    The unit box ``[i, i+1] x [j, j+1]`` splits along its diagonal
-    ``v = u + j - i`` into an upper triangle (``v >= u + j - i``) and, when
-    ``i < j``, a lower one (``v <= u + j - i``).  Premium surfaces are affine
-    on each tile.
-    """
-
-    i: int
-    j: int
-    orientation: str
-
-    def __post_init__(self) -> None:
-        if self.orientation not in (_UPPER, _LOWER):
-            raise ValueError(f"unknown orientation {self.orientation!r}")
-        if not (0 <= self.i <= self.j):
-            raise ValueError(f"tile indices must satisfy 0 <= i <= j, got "
-                             f"({self.i}, {self.j})")
-        if self.orientation == _LOWER and self.i == self.j:
-            raise ValueError("lower tiles require i < j")
-
-    @property
-    def vertices(self) -> tuple[tuple[int, int], tuple[int, int], tuple[int, int]]:
-        """The three integer corners, in a fixed orientation-dependent order."""
-        i, j = self.i, self.j
-        if self.orientation == _UPPER:
-            return ((i, j), (i, j + 1), (i + 1, j + 1))
-        return ((i, j), (i + 1, j), (i + 1, j + 1))
-
-
 def _box_index(x: float, n: int) -> int:
     """Smallest box index whose closed unit interval contains coordinate x."""
     r = round(x)
@@ -237,11 +200,18 @@ def _box_index(x: float, n: int) -> int:
     return min(max(int(math.floor(x)), 0), n - 1)
 
 
-def locate_tile(q: GlobalConstraints, n: int) -> Tile:
-    """Find the tile of the ``n``-date admissible set containing ``q``.
+def locate_tile(q: GlobalConstraints, n: int) -> tuple[tuple[int, int], ...]:
+    """The three integer corners of the tile of the ``n``-date admissible
+    set containing ``q``.
+
+    The unit box ``[i, i+1] x [j, j+1]`` splits along its diagonal
+    ``v = u + j - i`` into an upper triangle (``v >= u + j - i``), with
+    corners ``(i, j), (i, j+1), (i+1, j+1)``, and, when ``i < j``, a lower
+    one (``v <= u + j - i``), with corners ``(i, j), (i+1, j), (i+1, j+1)``.
+    Premium surfaces are affine on each tile.
 
     Ties are deterministic: shared edges resolve to the tile with the
-    lexicographically smallest ``(i, j)``, then to the upper orientation.
+    lexicographically smallest ``(i, j)``, then to the upper triangle.
     Premium continuity makes the choice value-irrelevant.  The cap
     coordinate is clamped to ``n`` before locating (a cap beyond ``n`` can
     never bind).  Points outside the admissible set are rejected.
@@ -258,8 +228,9 @@ def locate_tile(q: GlobalConstraints, n: int) -> Tile:
     v = max(v, u)
     i = _box_index(u, n)
     j = max(_box_index(v, n), i)
-    orientation = _UPPER if i == j or (v - u) >= (j - i) - TOL else _LOWER
-    return Tile(i, j, orientation)
+    if i == j or (v - u) >= (j - i) - TOL:
+        return ((i, j), (i, j + 1), (i + 1, j + 1))
+    return ((i, j), (i + 1, j), (i + 1, j + 1))
 
 
 def reachable_set(
@@ -357,17 +328,12 @@ def interpolate_on_tile(surface: PremiumSurface, q: GlobalConstraints) -> float:
     Exact at vertices and continuous across tile edges; requires the
     surface to hold values at the three corners of the located tile.
     """
-    tile = locate_tile(q, surface.n)
-    (a, b, c) = tile.vertices
+    a, b, c = locate_tile(q, surface.n)
     fa = surface.value(*a)
     fb = surface.value(*b)
     fc = surface.value(*c)
-    u = min(q.q_lo, float(surface.n))
-    v = min(q.q_hi, float(surface.n))
-    du = u - tile.i
-    dv = v - tile.j
-    if tile.orientation == _UPPER:
-        # corners (i,j), (i,j+1), (i+1,j+1): f = fa + dv*(fb-fa) + du*(fc-fb)
-        return fa + dv * (fb - fa) + du * (fc - fb)
-    # corners (i,j), (i+1,j), (i+1,j+1): f = fa + du*(fb-fa) + dv*(fc-fb)
-    return fa + du * (fb - fa) + dv * (fc - fb)
+    du = min(q.q_lo, float(surface.n)) - a[0]
+    dv = min(q.q_hi, float(surface.n)) - a[1]
+    # s is the step from a to b, t the step from b to c
+    s, t = (dv, du) if b[1] > a[1] else (du, dv)
+    return fa + s * (fb - fa) + t * (fc - fb)

@@ -140,7 +140,7 @@ class TestPriceCommand:
         for q, price in zip(bounds, prices):
             surface = PremiumSurface(6, {
                 (i, j): quantized_dp_price(tree_, GlobalConstraints(i, j))[0]
-                for i, j in locate_tile(q, 6).vertices})
+                for i, j in locate_tile(q, 6)})
             assert price == interpolate_on_tile(surface, q)
 
     def test_no_policy_flag(self, tmp_path):

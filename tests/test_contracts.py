@@ -1,5 +1,6 @@
 """Constraint arithmetic, tiling and interpolation tests."""
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,6 @@ from swingquant.contracts import (
     PremiumSurface,
     RawContract,
     SurfaceIncompleteError,
-    Tile,
     admissible_interval,
     advance_constraints,
     integer_vertices,
@@ -29,13 +29,24 @@ def gc(lo, hi):
     return GlobalConstraints(lo, hi)
 
 
-def tile_contains(tile, u, v, tol=TOL):
-    """Whether the closed triangle ``tile`` holds ``(u, v)``, up to ``tol``."""
-    i, j = tile.i, tile.j
+def upper(i, j):
+    """Corners of the upper triangle of the unit box at ``(i, j)``."""
+    return ((i, j), (i, j + 1), (i + 1, j + 1))
+
+
+def lower(i, j):
+    """Corners of the lower triangle of the unit box at ``(i, j)``."""
+    return ((i, j), (i + 1, j), (i + 1, j + 1))
+
+
+def tile_contains(corners, u, v, tol=TOL):
+    """Whether the closed triangle with ``corners`` holds ``(u, v)``, up to
+    ``tol``."""
+    (i, j) = corners[0]
     if not (i - tol <= u <= i + 1 + tol and j - tol <= v <= j + 1 + tol):
         return False
     d = v - u - (j - i)
-    return d >= -tol if tile.orientation == "upper" else d <= tol
+    return d >= -tol if corners == upper(i, j) else d <= tol
 
 
 class TestGlobalConstraints:
@@ -149,17 +160,17 @@ class TestIntegerClosure:
 
 class TestLocateTile:
     def test_examples(self):
-        assert locate_tile(gc(0.2, 0.9), 2) == Tile(0, 0, "upper")
-        assert locate_tile(gc(0.5, 1.2), 2) == Tile(0, 1, "lower")
-        assert locate_tile(gc(1.2, 1.5), 2) == Tile(1, 1, "upper")
+        assert locate_tile(gc(0.2, 0.9), 2) == upper(0, 0)
+        assert locate_tile(gc(0.5, 1.2), 2) == lower(0, 1)
+        assert locate_tile(gc(1.2, 1.5), 2) == upper(1, 1)
 
     def test_integer_points_pick_smallest_indices(self):
-        assert locate_tile(gc(1, 1), 2) == Tile(0, 0, "upper")
-        assert locate_tile(gc(2, 2), 2) == Tile(1, 1, "upper")
-        assert locate_tile(gc(0, 0), 2) == Tile(0, 0, "upper")
+        assert locate_tile(gc(1, 1), 2) == upper(0, 0)
+        assert locate_tile(gc(2, 2), 2) == upper(1, 1)
+        assert locate_tile(gc(0, 0), 2) == upper(0, 0)
 
     def test_cap_clamped(self):
-        assert locate_tile(gc(1.5, 7.0), 2) == Tile(1, 1, "upper")
+        assert locate_tile(gc(1.5, 7.0), 2) == upper(1, 1)
 
     def test_outside_rejected(self):
         with pytest.raises(ConstraintViolationError):
@@ -174,9 +185,12 @@ class TestLocateTile:
     def test_located_tile_contains_point(self, n, a, b):
         u = a * n
         v = u + b * (n - u)
-        tile = locate_tile(gc(u, v), n)
-        assert tile_contains(tile, u, v)
-        assert 0 <= tile.i <= tile.j <= n - 1
+        corners = locate_tile(gc(u, v), n)
+        (i, j) = corners[0]
+        assert corners in (upper(i, j), lower(i, j))
+        assert tile_contains(corners, u, v)
+        assert 0 <= i <= j <= n - 1
+        assert i < j or corners == upper(i, j)
 
 
 class TestReachableSet:
@@ -275,3 +289,31 @@ class TestInterpolation:
         got = interpolate_on_tile(surf, gc(u, v))
         want = alpha * u + beta * v + const
         assert got == pytest.approx(want, abs=1e-9 * (1 + abs(want)))
+
+    def test_bits_match_the_per_orientation_formulas(self):
+        # Exact equality, sign included, with the two triangles' formulas
+        # written out: random surfaces, integer coordinates (the tie rule),
+        # caps above n (the clamp) and both triangles.
+        rng = random.Random(20070503)
+        seen = set()
+        for n in (1, 2, 3, 5, 11, 30):
+            surf = PremiumSurface(n=n, values={
+                v: rng.uniform(-1.0, 1.0) for v in integer_vertices(n)})
+            for _ in range(400):
+                u = rng.choice([rng.uniform(0.0, n), float(rng.randint(0, n))])
+                v = rng.choice([rng.uniform(u, n), float(rng.randint(math.ceil(u), n)),
+                                n + rng.uniform(0.0, 3.0), float(n + rng.randint(1, 3))])
+                got = interpolate_on_tile(surf, gc(u, v))
+                corners = locate_tile(gc(u, v), n)
+                (i, j) = corners[0]
+                fa, fb, fc = (surf.values[c] for c in corners)
+                du = min(u, float(n)) - i
+                dv = min(v, float(n)) - j
+                if corners == upper(i, j):
+                    want = fa + dv * (fb - fa) + du * (fc - fb)
+                else:
+                    want = fa + du * (fb - fa) + dv * (fc - fb)
+                seen.add(corners == upper(i, j))
+                assert got == want, (n, u, v)
+                assert math.copysign(1.0, got) == math.copysign(1.0, want)
+        assert seen == {True, False}

@@ -1,9 +1,11 @@
 """Every exported name resolves (no export outlives its definition), the
 package exports what the README documents, importing the package and its
-command loads neither scipy nor the reference pricers, and one function
-owns every thread the package starts."""
+command loads neither scipy nor the reference pricers, one function
+owns every thread the package starts, and the benchmark's tracer finds
+every function it wraps."""
 import ast
 import importlib
+import importlib.util
 import os
 import pkgutil
 import re
@@ -67,3 +69,18 @@ def test_one_function_starts_threads():
                 inner = max(around, key=lambda f: f.lineno, default=None)
                 owners.append(f"{path.stem}.{getattr(inner, 'name', '')}")
     assert owners == ["tree._ahead"]
+
+
+def test_benchmark_tracer_installs():
+    # ``perfbench/run.py --trace 1`` and ``scripts/bench_build.py`` wrap
+    # the functions ``perfbench/spans.py`` names, and its tracer reads
+    # ``contracts.reachable_count``: renaming one breaks them
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+    finally:
+        tracer.uninstall()

@@ -19,7 +19,7 @@ from helpers import (
     random_quant_tree,
     tree_as_lattice,
 )
-from swingquant.contracts import GlobalConstraints, Tile, interpolate_on_tile
+from swingquant.contracts import GlobalConstraints, interpolate_on_tile
 from swingquant.model import (
     closed_form_strip,
     factor_states,
@@ -523,9 +523,9 @@ def stacked_pair_sets(n):
     sets = [[(0, 0), (n, n), (0, n)], integer_pairs(n)]
     for j in range(n):
         for i in range(j + 1):
-            sets.append(list(Tile(i, j, "upper").vertices))
+            sets.append([(i, j), (i, j + 1), (i + 1, j + 1)])
             if i < j:
-                sets.append(list(Tile(i, j, "lower").vertices))
+                sets.append([(i, j), (i + 1, j), (i + 1, j + 1)])
     return sets
 
 
