@@ -126,6 +126,7 @@ def load_config(path, seed_override=None, out_override=None) -> RunConfig:
         raise ConfigError(f"cannot read config: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
+    _reject_unknown(doc, "config", ("model", "pricing", "output"))
     if "model" not in doc:
         raise ConfigError("config missing the 'model' section")
     try:
@@ -134,6 +135,9 @@ def load_config(path, seed_override=None, out_override=None) -> RunConfig:
         raise ConfigError(f"bad model section: {exc}") from exc
 
     pricing = _section(doc, "pricing")
+    _reject_unknown(pricing, "pricing", ("N_bar", "n_samples", "seed",
+                                         "policy_paths", "policy_seed",
+                                         "Q_min", "Q_max", "optimizer"))
     output = _section(doc, "output")
     try:
         n_bar = as_integer(pricing.get("N_bar", 100), "N_bar")
@@ -178,6 +182,13 @@ def _section(doc: dict, name: str) -> dict:
     if not isinstance(section, dict):
         raise ConfigError(f"the {name!r} section must be a JSON object")
     return section
+
+
+def _reject_unknown(section: dict, name: str, known) -> None:
+    """Reject a misspelt key instead of reading its default."""
+    unknown = sorted(set(section) - set(known))
+    if unknown:
+        raise ConfigError(f"unknown {name} keys: {', '.join(unknown)}")
 
 
 def _check_bounds(q_lo: float, q_hi: float) -> None:
@@ -399,8 +410,8 @@ def run_price(cfg: RunConfig, q_lo=None, q_hi=None, with_policy=True) -> dict:
         timings.update(replay_timings)
         t0 = time.perf_counter()
         mc_value, std_err = extract_and_value_policy(
-            tree, policy, q, cfg.policy_paths, cfg.policy_seed, replay
-        )
+            tree, policy, n_paths=cfg.policy_paths, seed=cfg.policy_seed,
+            replay=replay)
         timings["policy_seconds"] = time.perf_counter() - t0
         report["mc_policy_value"] = mc_value
         report["std_err"] = std_err

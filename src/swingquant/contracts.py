@@ -258,19 +258,11 @@ def reachable_set(
     lo0 = int(q0.q_lo)
     hi0 = int(q0.q_hi)
     cap = n - k
-    l_min = max(lo0 - cap, 0)
-    out: list[GlobalConstraints] = []
-    seen: set[tuple[float, float]] = set()
-    for purchased in range(l_min, k + 1):
-        pair = GlobalConstraints(
-            float(max(lo0 - purchased, 0)),
-            float(min(max(hi0 - purchased, 0), cap)),
-        )
-        key = pair.as_tuple()
-        if key not in seen:
-            seen.add(key)
-            out.append(pair)
-    return out
+    # dict keys keep the first of equal pairs, in purchase order
+    pairs = dict.fromkeys(
+        (max(lo0 - bought, 0), min(max(hi0 - bought, 0), cap))
+        for bought in range(max(lo0 - cap, 0), k + 1))
+    return [GlobalConstraints(lo, hi) for lo, hi in pairs]
 
 
 def reachable_count(q0: GlobalConstraints, k: int, n: int) -> int:

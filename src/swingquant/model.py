@@ -420,10 +420,10 @@ def as_real(value, name: str) -> float:
 def params_from_dict(doc: dict, base_dir=".") -> TwoFactorParams:
     """Build parameters from a key-value document.
 
-    Required fields: ``alpha1, alpha2, sigma1, sigma2, rho, r, T, n,
-    forward, strike``.  ``forward`` and ``strike`` are scalars (flat
-    curves), inline lists, or paths to single-column CSV files with one
-    value per date, resolved relative to ``base_dir``.
+    Required fields, and the only ones: ``alpha1, alpha2, sigma1,
+    sigma2, rho, r, T, n, forward, strike``.  ``forward`` and ``strike``
+    are scalars (flat curves), inline lists, or paths to single-column
+    CSV files with one value per date, resolved relative to ``base_dir``.
     """
     base = Path(base_dir)
     reals = ["alpha1", "alpha2", "sigma1", "sigma2", "rho", "r", "T"]
@@ -431,6 +431,9 @@ def params_from_dict(doc: dict, base_dir=".") -> TwoFactorParams:
     missing = [key for key in required if key not in doc]
     if missing:
         raise KeyError(f"model config missing fields: {', '.join(missing)}")
+    unknown = sorted(set(doc) - set(required))
+    if unknown:
+        raise KeyError(f"model config has unknown fields: {', '.join(unknown)}")
     n = as_integer(doc["n"], "n")
     return TwoFactorParams(
         **{key: as_real(doc[key], key) for key in reals},

@@ -104,8 +104,18 @@ def _checked(points, weights, sizes: list[int] | None = None):
     Raises ``ValueError`` unless each block of ``sizes`` rows (one block
     by default) and its weights make a valid codebook.
     """
-    pts, sizes = _finite_points(points, sizes)
-    if _coincide(pts, sizes):
+    pts = np.atleast_2d(np.array(points, dtype=float))
+    if pts.ndim != 2 or pts.size == 0:
+        raise ValueError("points must form a non-empty (N, d) array")
+    if sizes is None:
+        sizes = [len(pts)]
+    elif min(sizes, default=0) < 1 or sum(sizes) != len(pts):
+        raise ValueError(f"block sizes must be positive and sum to {len(pts)}")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("non-finite codebook point")
+    # equal points of one block are equal rows once tagged with the block
+    block = np.repeat(np.arange(len(sizes)), sizes)
+    if _distinct_count(np.column_stack((pts, block))) < len(pts):
         raise ValueError("codebook points must be pairwise distinct")
     pts.setflags(write=False)
     if weights is None:
@@ -121,48 +131,16 @@ def _checked(points, weights, sizes: list[int] | None = None):
     return pts, w
 
 
-def _finite_points(points, sizes: list[int] | None) -> tuple[np.ndarray, list[int]]:
-    """A float copy of the ``(N, d)`` array ``points``, and its block sizes.
-
-    Raises ``ValueError`` for another shape, block sizes that do not
-    cover the rows, or a non-finite entry.
-    """
-    pts = np.atleast_2d(np.array(points, dtype=float))
-    if pts.ndim != 2 or pts.size == 0:
-        raise ValueError("points must form a non-empty (N, d) array")
-    if sizes is None:
-        sizes = [len(pts)]
-    elif min(sizes, default=0) < 1 or sum(sizes) != len(pts):
-        raise ValueError(f"block sizes must be positive and sum to {len(pts)}")
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("non-finite codebook point")
-    return pts, sizes
-
-
-def _coincide(pts: np.ndarray, sizes: list[int]) -> bool:
-    """Whether two equal rows of ``pts`` lie in one block of ``sizes`` rows."""
-    # equal rows of one block are adjacent once sorted by block, then
-    # point; a lexsort of a few points is several times cheaper than
-    # np.unique(axis=0).  The blocks are in order, so sorting keeps them.
-    block = np.repeat(np.arange(len(sizes)), sizes)
-    ordered = pts[np.lexsort((*pts.T, block))]
-    return bool(np.any(np.all(ordered[1:] == ordered[:-1], axis=1)
-                       & (block[1:] == block[:-1])))
-
-
 def _distinct_codebook(points) -> Codebook | None:
-    """The unweighted codebook of ``points``, or ``None`` if two coincide.
+    """The unweighted codebook of the ``(N, d)`` array ``points``, or
+    ``None`` if two coincide.
 
     Points that :class:`Codebook` rejects for another reason raise as it
-    does.  The points are checked once, here.
+    does.
     """
-    pts, sizes = _finite_points(points, None)
-    if _coincide(pts, sizes):
+    if np.all(np.isfinite(points)) and not has_distinct_rows(points, len(points)):
         return None
-    pts.setflags(write=False)
-    cb = object.__new__(Codebook)  # checked above
-    _set_fields(cb, pts, None)
-    return cb
+    return Codebook(points)
 
 
 def _set_fields(cb: Codebook, pts: np.ndarray, w: np.ndarray | None) -> None:

@@ -841,37 +841,36 @@ def load_policy_replay(directory, tree: QuantTree,
 def extract_and_value_policy(
     tree: QuantTree,
     policy: Policy,
-    q0: GlobalConstraints,
     n_paths: int,
     seed: int,
     replay: PolicyReplay | None = None,
 ) -> tuple[float, float]:
     """Price a bang-bang policy by simulation.
 
-    ``policy`` is the one :func:`quantized_dp_price` returned for the same
-    bounds ``q0``.  Valuation runs on exact-model paths with an
-    independent ``seed``, all from the tree's single root point: states
-    are projected to the grids only to look up decisions, payoffs come
-    from the exact states.  The paths' nodes and unit spot factors come,
-    date by date, from ``replay``, loaded by :func:`load_policy_replay`
-    for ``(tree, n_paths, seed)``, or else straight from the simulation;
-    neither holds a whole-horizon array, and both give the same bits.
-    Per date, the valuation is one flat gather of each path's purchase at
-    ``bought * N_k + node`` and the payoff of
+    ``policy`` is the one :func:`quantized_dp_price` returned for this
+    tree, and its bounds are ``policy.q0``; a policy whose dates or table
+    widths do not fit the tree raises ``ValueError``.  Valuation runs on
+    exact-model paths with an independent ``seed``, all from the tree's
+    single root point: states are projected to the grids only to look up
+    decisions, payoffs come from the exact states.  The paths' nodes and
+    unit spot factors come, date by date, from ``replay``, loaded by
+    :func:`load_policy_replay` for ``(tree, n_paths, seed)``, or else
+    straight from the simulation; neither holds a whole-horizon array,
+    and both give the same bits.  Per date, each path's purchase is read
+    in place from ``policy.buy[k]``, flat at ``(bought - l_min[k]) * N_k
+    + node``, and its payoff is that of
     :func:`~swingquant.model.spot_and_payoff_of_factor`, computed by the
-    same operations in ``n_paths``-long buffers and added in date order,
-    so bit for bit a 2-d gather at ``(bought - l_min[k], node)`` and a
-    fresh payoff array per date.  Every simulated schedule satisfies the
-    global bounds; a violation would mean the purchase-count bookkeeping
-    is broken and raises immediately.
+    same operations in an ``n_paths``-long buffer and added in date
+    order.  Every simulated schedule satisfies the global bounds; a
+    violation would mean the purchase-count bookkeeping is broken and
+    raises immediately.
 
     Returns ``(mc_value, std_err)``.
     """
-    n = tree.n
-    q0 = _clamped_integer(q0, n)
-    if policy.q0 != q0:
-        raise ValueError(f"the policy is for bounds {policy.q0.as_tuple()}, "
-                         f"not {q0.as_tuple()}")
+    widths = [g.n_points for g in tree.grids]
+    if [b.shape[1] for b in policy.buy] != widths:
+        raise ValueError("the policy is for another tree: its dates or "
+                         "table widths are not the tree's")
     if replay is None:
         dates = _replay_dates(tree, n_paths, seed)
     else:
@@ -885,16 +884,10 @@ def extract_and_value_policy(
     pay = np.empty(n_paths)
     with closing(dates):
         for k, (nodes, factors) in enumerate(dates):
-            # The purchase at (bought - l_min, node), gathered flat from
-            # the rows laid end to end.  Counts below the floor l_min
-            # never occur; their rows pad the table so that a path's row
-            # is its count.
-            rows, width = policy.buy[k].shape
-            table = np.zeros((policy.l_min[k] + rows) * width, dtype=np.intp)
-            table[policy.l_min[k] * width:] = policy.buy[k].reshape(-1)
-            np.multiply(bought, width, out=flat)
+            np.subtract(bought, policy.l_min[k], out=flat)
+            flat *= widths[k]
             flat += nodes
-            acts = np.take(table, flat)
+            acts = np.take(policy.buy[k], flat)
             # the payoff of spot_and_payoff_of_factor, in one buffer
             np.multiply(params.forward[k], factors, out=pay)
             pay -= params.strikes[k]
@@ -902,6 +895,7 @@ def extract_and_value_policy(
             pay *= acts
             value += pay
             bought += acts
+    q0 = policy.q0
     if not ((bought >= q0.q_lo) & (bought <= q0.q_hi)).all():
         raise AssertionError("simulated schedule violated the global bounds")
     mc_value = float(value.mean())

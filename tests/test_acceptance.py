@@ -112,7 +112,7 @@ def test_criterion_3_bang_bang_saturation():
     tree = build_tree(params, n_bar=20, n_samples=100_000, seed=5150)
     q0 = GlobalConstraints(5.0, 12.0)
     _, policy = quantized_dp_price(tree, q0)
-    extract_and_value_policy(tree, policy, q0, n_paths=10_000, seed=5151)
+    extract_and_value_policy(tree, policy, n_paths=10_000, seed=5151)
     binary = all(set(np.unique(a)).issubset({0, 1}) for a in policy.buy)
 
     # replay the policy on its valuation paths and count purchases

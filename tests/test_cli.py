@@ -348,6 +348,23 @@ class TestExitCodes:
         res = run_cli(["--config", str(path), "price"])
         assert res.exit_code == 2, res.output
 
+    @pytest.mark.parametrize("section,key,typo", [
+        ("pricing", "N_bar", "N_Bar"),
+        ("pricing", "policy_paths", "policy_path"),
+        ("model", None, "strikes"),  # beside the strike it meant to set
+        (None, "pricing", "pricng"),
+    ])
+    def test_misspelt_keys_are_rejected(self, tmp_path, section, key, typo):
+        # read leniently, each typo would leave a default in force
+        path = write_config(tmp_path)
+        doc = json.loads(path.read_text())
+        part = doc if section is None else doc[section]
+        part[typo] = part.pop(key) if key else 5.0
+        path.write_text(json.dumps(doc))
+        res = run_cli(["--config", str(path), "price"])
+        assert res.exit_code == 2, res.output
+        assert typo in res.output
+
     def test_integral_floats_load(self, tmp_path):
         path = write_config(tmp_path, n=4, sigma1=0.36, sigma2=1.11)
         want = load_config(path)

@@ -2,10 +2,11 @@
 package exports what the README documents, importing the package and its
 command loads neither scipy nor the reference pricers, one function
 owns every thread the package starts, and the benchmark's tracer finds
-every function it wraps."""
+every function it wraps and counts what a desk session does."""
 import ast
 import importlib
 import importlib.util
+import json
 import os
 import pkgutil
 import re
@@ -14,8 +15,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 
 import swingquant
+from swingquant import cli
+from swingquant.contracts import GlobalConstraints, reachable_count
 
 MODULES = ["swingquant", *(f"swingquant.{m.name}"
                            for m in pkgutil.iter_modules(swingquant.__path__))]
@@ -71,16 +75,57 @@ def test_one_function_starts_threads():
     assert owners == ["tree._ahead"]
 
 
+def load_spans():
+    """``perfbench/spans.py``, loaded by path."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_benchmark_tracer_installs():
     # ``perfbench/run.py --trace 1`` and ``scripts/bench_build.py`` wrap
     # the functions ``perfbench/spans.py`` names, and its tracer reads
     # ``contracts.reachable_count``: renaming one breaks them
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    tracer = spans.Tracer()
+    tracer = load_spans().Tracer()
     try:
         tracer.install()
     finally:
         tracer.uninstall()
+
+
+def test_benchmark_tracer_counts_a_desk_session(tmp_path):
+    # the tracer reads counts off the wrapped calls' arguments, some by
+    # position (``extract_and_value_policy``'s ``n_paths`` as its fourth
+    # unless passed by keyword): one traced session of an integer quote,
+    # an interpolated one and the surface checks every count it makes
+    n, paths = 6, 300
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "model": {"alpha1": 0.21, "alpha2": 5.4, "sigma1": 0.36,
+                  "sigma2": 1.11, "rho": -0.11, "r": 0.0, "T": n / 365,
+                  "n": n, "forward": 20.0, "strike": 20.0},
+        "pricing": {"N_bar": 4, "n_samples": 2_000, "seed": 3,
+                    "policy_paths": paths},
+        "output": {"directory": "out"},
+    }))
+    tracer = load_spans().Tracer()
+    tracer.install()
+    try:
+        for args in (["price", "--qmin", "2", "--qmax", "5"],
+                     ["price", "--qmin", "1.5", "--qmax", "4.5"],
+                     ["surface"]):
+            res = CliRunner().invoke(cli.main, ["--config", str(config), *args],
+                                     catch_exceptions=False)
+            assert res.exit_code == 0, res.output
+    finally:
+        tracer.uninstall()
+    got = tracer.metrics()
+    assert got["tree.policy_path_dates"] == paths * n
+    assert got["tree.dp_states"] == sum(
+        reachable_count(GlobalConstraints(2, 5), k, n) for k in range(n))
+    assert got["tree.surface_pairs"] == sum(
+        (m + 1) * (m + 2) // 2 for m in range(1, n + 1))
+    assert got["cli.cache_hit_ratio"] == 2 / 3
+    assert got["tree.artifact_mb"] > 0

@@ -162,13 +162,12 @@ def small_tree():
 
 @pytest.fixture(scope="module")
 def long_policy():
-    """``(tree, q, policy, n_paths)`` of 100 dates valued on 20,000 paths,
+    """``(tree, policy, n_paths)`` of 100 dates valued on 20,000 paths,
     whose factor array would take 16 MB."""
     tree = build_tree(make_params(n=100), n_bar=6, n_samples=5_000, seed=4,
                       optimizer="clvq")
-    q = gc(20, 60)
-    _, policy = quantized_dp_price(tree, q)
-    return tree, q, policy, 20_000
+    _, policy = quantized_dp_price(tree, gc(20, 60))
+    return tree, policy, 20_000
 
 
 class TestBuildGrids:
@@ -669,8 +668,7 @@ class TestPolicy:
         tree = build_tree(params, n_bar=1, n_samples=2_000, seed=9)
         price, policy = quantized_dp_price(tree, gc(2, 2))
         assert price == pytest.approx(3.0, abs=1e-12)  # payoffs 2 and 1
-        mc, se = extract_and_value_policy(tree, policy, gc(2, 2),
-                                          n_paths=100, seed=10)
+        mc, se = extract_and_value_policy(tree, policy, n_paths=100, seed=10)
         assert mc == pytest.approx(3.0, abs=1e-12)
         assert se == pytest.approx(0.0, abs=1e-12)
         # the deterministic trajectory buys exactly at dates 0 and 2
@@ -683,8 +681,7 @@ class TestPolicy:
 
     def test_actions_are_binary(self, small_tree):
         _, policy = quantized_dp_price(small_tree, gc(3, 7))
-        extract_and_value_policy(small_tree, policy, gc(3, 7),
-                                 n_paths=500, seed=12)
+        extract_and_value_policy(small_tree, policy, n_paths=500, seed=12)
         for arr in policy.buy:
             assert set(np.unique(arr)).issubset({0, 1})
 
@@ -698,9 +695,8 @@ class TestPolicy:
         assert (bought == 6).any()  # the cap binds
         assert on_rising_floor > 0  # and the floor forces purchases
         for cached in (None, replay):
-            got = extract_and_value_policy(small_tree, policy, q,
-                                           n_paths=3_000, seed=21,
-                                           replay=cached)
+            got = extract_and_value_policy(small_tree, policy, n_paths=3_000,
+                                           seed=21, replay=cached)
             assert got == want
 
     def test_saved_replay_is_np_save_of_the_arrays(self, small_tree, tmp_path):
@@ -732,29 +728,29 @@ class TestPolicy:
         _, policy = quantized_dp_price(tree, q)
         save_policy_replay(tree, n_paths, 9, tmp_path)
         replay = load_policy_replay(tmp_path, tree, n_paths)
-        want = extract_and_value_policy(tree, policy, q, n_paths, 9)
-        assert extract_and_value_policy(tree, policy, q, n_paths, 9,
+        want = extract_and_value_policy(tree, policy, n_paths, 9)
+        assert extract_and_value_policy(tree, policy, n_paths, 9,
                                         replay=replay) == want
 
     def test_file_replay_holds_one_block_of_factors(self, long_policy,
                                                     tmp_path):
-        tree, q, policy, n_paths = long_policy
+        tree, policy, n_paths = long_policy
         save_policy_replay(tree, n_paths, 5, tmp_path)
         factors = tmp_path / "factors.npy"
         tracemalloc.start()
         try:
             replay = load_policy_replay(tmp_path, tree, n_paths)
-            extract_and_value_policy(tree, policy, q, n_paths, 5, replay)
+            extract_and_value_policy(tree, policy, n_paths, 5, replay)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < factors.stat().st_size / 3
 
     def test_simulated_replay_holds_no_factor_array(self, long_policy):
-        tree, q, policy, n_paths = long_policy
+        tree, policy, n_paths = long_policy
         tracemalloc.start()
         try:
-            extract_and_value_policy(tree, policy, q, n_paths, 5)
+            extract_and_value_policy(tree, policy, n_paths, 5)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -773,18 +769,25 @@ class TestPolicy:
         with pytest.raises(ValueError, match="bytes"):
             replay.check(small_tree, 3_000)
 
-    def test_rejects_a_policy_for_other_bounds(self, small_tree):
-        _, policy = quantized_dp_price(small_tree, gc(3, 7))
-        with pytest.raises(ValueError, match="bounds"):
-            extract_and_value_policy(small_tree, policy, gc(2, 7),
-                                     n_paths=100, seed=12)
+    def test_rejects_a_policy_of_another_tree(self):
+        # the same 8 dates, grids of 6 and of 3 points
+        params = make_params(n=8)
+        wide, narrow = (build_tree(params, n_bar=n_bar, n_samples=5_000,
+                                   seed=4) for n_bar in (6, 3))
+        for policy_tree, tree in ((wide, narrow), (narrow, wide)):
+            _, policy = quantized_dp_price(policy_tree, gc(2, 5))
+            with pytest.raises(ValueError, match="another tree"):
+                extract_and_value_policy(tree, policy, n_paths=100, seed=12)
+        short = build_tree(make_params(n=7), n_bar=3, n_samples=5_000, seed=4)
+        _, policy = quantized_dp_price(short, gc(2, 5))
+        with pytest.raises(ValueError, match="another tree"):
+            extract_and_value_policy(narrow, policy, n_paths=100, seed=12)
 
     def test_nonnegative_payoffs_saturate(self):
         params = make_params(n=8, strike=0.0)
         tree = build_tree(params, n_bar=10, n_samples=50_000, seed=13)
         _, policy = quantized_dp_price(tree, gc(2, 5))
-        extract_and_value_policy(tree, policy, gc(2, 5),
-                                 n_paths=2_000, seed=14)
+        extract_and_value_policy(tree, policy, n_paths=2_000, seed=14)
         # replay to count purchases per path is internal; the valuation
         # asserts bounds, here we check saturation via the policy itself
         from swingquant.model import simulate_factor_paths, spot_and_payoff
@@ -808,7 +811,7 @@ class TestPolicy:
             tree = build_tree(params, n_bar=n_bar, n_samples=200_000, seed=15)
             price, policy = quantized_dp_price(tree, gc(2, 6))
             mc, se = extract_and_value_policy(
-                tree, policy, gc(2, 6), n_paths=40_000, seed=16
+                tree, policy, n_paths=40_000, seed=16
             )
             # feasible-strategy value cannot beat the true price; allow the
             # quantization bias of the DP price plus MC noise
@@ -883,7 +886,7 @@ class TestReplayPipeline:
             if consumer == "save":
                 save_policy_replay(small_tree, 3_000, 21, tmp_path)
             else:
-                extract_and_value_policy(small_tree, policy, q, 3_000, 21)
+                extract_and_value_policy(small_tree, policy, 3_000, 21)
         # ``held`` keeps the traceback, so the consumer's frame and its
         # date iterator, alive: the helper must be joined all the same
         assert threading.active_count() == threads
