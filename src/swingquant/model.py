@@ -217,7 +217,8 @@ def standardized_state(params: TwoFactorParams, k: int,
     target = factor_marginal_covariance(params, k * params.dt)
     centred = np.empty(state.shape)
     _by_columns(np.subtract, state, _axis0_mean(state, centred), centred)
-    sample_cov = centred.T @ centred / len(state)
+    # np.dot releases the GIL, ``centred.T @ centred`` holds it; same bits
+    sample_cov = np.dot(centred.T, centred) / len(state)
     ls = _chol2(sample_cov)
     lt = _chol2(target)
     # map B with B' S B = target:  B = Ls^-T Lt^T
@@ -236,11 +237,14 @@ def _axis0_mean(a: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``a.mean(axis=0)`` of an ``(M, d)`` array, bit for bit, in less time.
 
     numpy sums axis 0 of such an array row after row, from ``+0.0``; the
-    running sums down axis 0, written into ``out`` (of ``a``'s shape, or
-    ``a`` itself), add in the same order, and adding ``+0.0`` turns an
-    all-``-0.0`` column's ``-0.0`` into numpy's ``+0.0``.
+    running sums down each column, written into ``out`` (of ``a``'s shape,
+    or ``a`` itself), add in the same order, and adding ``+0.0`` turns an
+    all-``-0.0`` column's ``-0.0`` into numpy's ``+0.0``.  One 1-D sum a
+    column releases the GIL, where ``np.cumsum(a, axis=0)`` holds it
+    throughout (see :func:`swingquant.tree._ahead`).
     """
-    np.cumsum(a, axis=0, out=out)
+    for j in range(a.shape[1]):
+        np.cumsum(a[:, j], out=out[:, j])
     return (out[-1] + 0.0) / len(a)
 
 

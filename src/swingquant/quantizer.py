@@ -46,8 +46,9 @@ _WEIGHT_TOL = 1e-9
 # relative outward rounding of its bound updates
 _BOUND_SLACK = 1e-12
 _BOUND_ROUNDING = 2.0 ** -40
-# Rows per block of the nearest-point scan; the results do not depend on it
-_SCAN_BLOCK = 16384
+# Bytes of the nearest-point scan's scratch block, which holds a block of
+# rows by the codebook's points; the results do not depend on it
+_SCAN_BYTES = 1 << 20
 # Largest 2-D codebook whose online pass steps on Python floats; larger
 # ones and other dimensions step on numpy arrays.  The results do not
 # depend on it.  Per step, on normal samples (2-core Xeon, Python 3.11,
@@ -178,9 +179,11 @@ def _as_samples(samples, dim: int | None = None) -> np.ndarray:
 def nearest_indices(samples, cb: Codebook) -> np.ndarray:
     """Vectorised nearest-point assignment for an (M, d) sample block.
 
-    The smallest index wins on ties.  Work proceeds in blocks of
-    ``_SCAN_BLOCK`` rows with a reused scratch buffer so the inner loop
-    allocates nothing per sample.
+    The smallest index wins on ties.  Work proceeds in blocks of rows
+    sized so that a block's distances to every point fill a reused
+    scratch buffer of about ``_SCAN_BYTES`` (at least one row), so the
+    inner loop allocates nothing per sample and its buffer stays in cache
+    whatever the codebook's size.
     """
     y = _as_samples(samples, cb.dim)
     out = np.empty(y.shape[0], dtype=np.intp)
@@ -194,21 +197,33 @@ def _scan(y: np.ndarray, pts: np.ndarray, out: np.ndarray,
 
     The scan ranks points by ``0.5 |p|^2 - y.p`` (``|y - p|^2`` less the
     row constant ``|y|^2``, halved).  If ``second`` is given it receives
-    each row's runner-up value of that surrogate (``inf`` for one point).
+    each row's runner-up value of that surrogate (``inf`` for one point):
+    the row's minimum once ``inf`` is written at its argmin, read at a
+    second argmin, which is the value ``np.min`` gives (NaN for a row with
+    two NaNs) at about half its cost on short rows.
     """
-    m = y.shape[0]
-    block = _SCAN_BLOCK
+    m, n = y.shape[0], pts.shape[0]
+    block = max(1, min(_SCAN_BYTES // (8 * n), m))
     half_p2 = 0.5 * (pts ** 2).sum(axis=1)
-    scratch = np.empty((min(block, m), pts.shape[0]))
+    scratch = np.empty((block, n))
+    if second is not None:
+        # each row's flat offset in the scratch, and the second argmin
+        row_start = np.arange(0, block * n, n)
+        runner = np.empty(block, dtype=np.intp)
     for start in range(0, m, block):
         stop = min(start + block, m)
-        buf = scratch[: stop - start]
+        rows = stop - start
+        buf = scratch[:rows]
         np.dot(y[start:stop], pts.T, out=buf)
         np.subtract(half_p2[None, :], buf, out=buf)
         np.argmin(buf, axis=1, out=out[start:stop])
         if second is not None:
-            buf[np.arange(stop - start), out[start:stop]] = np.inf
-            np.min(buf, axis=1, out=second[start:stop])
+            flat = runner[:rows]
+            np.add(row_start[:rows], out[start:stop], out=flat)
+            np.put(buf, flat, np.inf)
+            np.argmin(buf, axis=1, out=flat)
+            flat += row_start[:rows]
+            np.take(buf, flat, out=second[start:stop])
 
 
 def distortion(samples, cb: Codebook, p: float = 2.0) -> float:

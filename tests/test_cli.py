@@ -527,8 +527,9 @@ class TestDeterminism:
             assert res.returncode == 0, res.stderr
             digests.append(cache_digests(out))
         # every projection, Lloyd's pruned ones included, runs one scan
-        # that reads this block size
-        monkeypatch.setattr(quantizer, "_SCAN_BLOCK", 97)
+        # that reads this block size: 97 rows a block onto one point, 16
+        # onto the 6 points of every later date
+        monkeypatch.setattr(quantizer, "_SCAN_BYTES", 8 * 97)
         out = tmp_path / "block97"
         res = run_cli(["--config", str(path), "--out", str(out), "price"])
         assert res.exit_code == 0, res.output

@@ -166,13 +166,19 @@ class TestSimulation:
             m = int(rng.integers(1, 30_000))
             a = rng.normal(size=(m, 2)) * rng.uniform(0.01, 3.0, 2)
             a += rng.normal(size=2)
-            for v in (a, a[::int(rng.integers(2, 6))]):
+            for v in (a, a[::int(rng.integers(2, 6))], a[:1]):
                 mean = model._axis0_mean(v, np.empty(v.shape))
-                assert np.array_equal(mean, np.mean(v, axis=0))
-                assert np.array_equal(model._axis0_std(v), np.std(v, axis=0))
-        zeros = np.array([[-0.0, 0.0]] * 5)
-        mean = model._axis0_mean(zeros, np.empty(zeros.shape))
-        assert not np.signbit(mean).any()
+                assert mean.tobytes() == np.mean(v, axis=0).tobytes()
+                assert (model._axis0_std(v).tobytes()
+                        == np.std(v, axis=0).tobytes())
+        # an all -0.0 column, a NaN column, one row; compared by their bits
+        edge = np.array([[-0.0, np.nan, 0.5]] * 5)
+        edge[2, 1] = 1.0
+        for v in (edge, edge[:1]):
+            mean = model._axis0_mean(v, np.empty(v.shape))
+            assert mean.tobytes() == np.mean(v, axis=0).tobytes()
+            assert model._axis0_std(v).tobytes() == np.std(v, axis=0).tobytes()
+            assert not np.signbit(mean[0])
 
     @given(a=arrays(np.float64, st.tuples(st.integers(1, 300), st.just(2)),
                     elements=EDGE_FLOATS),

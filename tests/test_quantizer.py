@@ -91,6 +91,54 @@ class TestNearest:
         single = [nearest_index(y, cb) for y in ys]
         assert batch.tolist() == single
 
+    @pytest.mark.parametrize("rows", [1, 7])
+    @pytest.mark.parametrize("n_pts", [1, 6, 16, 200])
+    def test_runner_up_is_the_row_min_without_the_nearest(
+            self, monkeypatch, n_pts, rows):
+        # the scan's second argmin against np.min of each surrogate row with
+        # inf written at its argmin, in blocks of ``rows`` rows.  Integer
+        # points and quarter-integer rows keep every surrogate exact, so the
+        # reference may compute it in one product, and rows halfway between
+        # two points tie for the nearest one
+        rng = np.random.default_rng(n_pts)
+        grid = np.stack(np.meshgrid(np.arange(-8, 8), np.arange(-8, 8)), -1)
+        pts = rng.permutation(grid.reshape(-1, 2))[:n_pts].astype(float)
+        y = rng.integers(-40, 40, size=(203, 2)) / 4.0
+        # halfway between each of a few points and its nearest other one
+        for i in range(min(n_pts, 5) if n_pts > 1 else 0):
+            d2 = ((pts - pts[i]) ** 2).sum(axis=1)
+            d2[i] = np.inf
+            y[20 + i] = (pts[i] + pts[np.argmin(d2)]) / 2
+        y[5] = np.nan
+        y[6] = [np.inf, 0.0]  # NaN where a point's first coordinate is 0
+        with np.errstate(invalid="ignore"):
+            surrogate = 0.5 * (pts ** 2).sum(axis=1) - y @ pts.T
+        want = np.argmin(surrogate, axis=1)
+        surrogate[np.arange(len(y)), want] = np.inf
+        want_second = np.min(surrogate, axis=1)
+        monkeypatch.setattr(quantizer, "_SCAN_BYTES", 8 * n_pts * rows)
+        out = np.empty(len(y), dtype=np.intp)
+        second = np.empty(len(y))
+        with np.errstate(invalid="ignore"):
+            quantizer._scan(y, pts, out, second)
+        quantizer._scan(y[:0], pts, out[:0], second[:0])  # no rows, no block
+        assert out.tolist() == want.tolist()
+        # np.min returns a NaN of its own for a row holding NaN, the gather
+        # one of the row's: the same value, but the sign bit may differ
+        nan = np.isnan(want_second)
+        assert nan[5] == (n_pts > 1)
+        assert np.isnan(second).tolist() == nan.tolist()
+        assert second[~nan].tobytes() == want_second[~nan].tobytes()
+        # argmin's first-index rule: each row's nearest point is the first
+        # of its equally near ones, and some rows tie
+        d2 = ((y[:, None, :] - pts[None]) ** 2).sum(axis=2)
+        finite = np.isfinite(d2).all(axis=1)
+        first = np.argmax(d2 == d2.min(axis=1, keepdims=True), axis=1)
+        assert out[finite].tolist() == first[finite].tolist()
+        if n_pts > 1:
+            ties = (d2 == d2.min(axis=1, keepdims=True)).sum(axis=1) > 1
+            assert ties[finite].any()
+
     def test_sorted_path_midpoint_tie(self):
         # a 1-D codebook of 20 points: the blocked scan resolves an exact
         # midpoint to the smaller index, like nearest_index
